@@ -34,6 +34,7 @@ let tech = Gap_tech.Tech.asic_025um
 let rich_lib = Gap_liberty.Libgen.(make tech rich)
 let domino_lib = Gap_liberty.Libgen.(make tech domino)
 let cla8 = Gap_datapath.Adders.cla_adder 8
+let cla32 = Gap_datapath.Adders.cla_adder 32
 let mult8 = Gap_datapath.Multiplier.array_multiplier ~width:8
 let ks16 = Gap_datapath.Adders.kogge_stone_adder 16
 let alu16_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Alu.alu 16))
@@ -177,7 +178,9 @@ let run_benchmarks ~quota () =
    (commit f2fd16c, pre Bigarray/chunk rebuild), where extra domains made
    the run *slower* — 40.8 ms at d2 and 89.0 ms at d4 against 11.9 ms at
    d1 — because per-sample allocation forced constant cross-domain minor-GC
-   synchronization. *)
+   synchronization. The synth_map_cla32_rich baseline is the per-cut NPN
+   search mapper (commit ba9df30), measured by this harness on a 2-CPU
+   container, where the match-table mapper runs the kernel in ~5.3 ms. *)
 let seed_baseline_ns =
   [
     ("e4_sta", 492327.);
@@ -188,6 +191,7 @@ let seed_baseline_ns =
     ("mc_60000_d2", 40842000.);
     ("mc_60000_d4", 89012000.);
     ("mc_60000_pctl", 113284614.);
+    ("synth_map_cla32_rich", 881890000.);
   ]
 
 let mc_model = lazy (Gap_variation.Model.make Gap_variation.Model.mature)
@@ -244,6 +248,10 @@ let kernel_tests =
         (Staged.stage (fun () -> Gap_dse.Eval.point dse_analytic_pt));
       Test.make ~name:"dse_eval_mc_2000"
         (Staged.stage (fun () -> Gap_dse.Eval.point dse_mc_pt));
+      (* the mapper dominates `repro all`: cut enumeration with per-cut
+         truth tables, match-table lookups and the covering DP *)
+      Test.make ~name:"synth_map_cla32_rich"
+        (Staged.stage (fun () -> Gap_synth.Mapper.map_aig ~lib:rich_lib cla32));
       Test.make ~name:"dse_key_fnv"
         (Staged.stage (fun () -> Gap_dse.Key.of_point Gap_dse.Space.custom_corner));
     ]

@@ -76,8 +76,7 @@ let map ~(fabric : Fabric.t) ?(name = "fpga") g =
     (fun id ->
       if needed.(id) then begin
         let c = Option.get best.(id) in
-        let func = Cuts.cut_function g id c in
-        let cell = Fabric.lut_cell fabric func in
+        let cell = Fabric.lut_cell fabric c.Cuts.tt in
         let inst = Netlist.add_cell nl cell (Array.map net_of c.Cuts.leaves) in
         node_net.(id) <- Netlist.out_net nl inst;
         incr luts;

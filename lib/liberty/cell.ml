@@ -21,21 +21,18 @@ type t = {
 let delay_ps t ~load_ff = t.intrinsic_ps +. (t.drive_res_kohm *. load_ff)
 let is_sequential t = match t.kind with Comb -> false | Flop _ | Latch _ -> true
 
-let identity_tt = lazy (Gap_logic.Truthtable.var ~vars:1 0)
+let identity_tt = Gap_logic.Truthtable.var ~vars:1 0
+let inverter_tt = Gap_logic.Truthtable.lognot identity_tt
 
 let is_inverter t =
-  t.kind = Comb && t.n_inputs = 1
-  && Gap_logic.Truthtable.equal t.func
-       (Gap_logic.Truthtable.lognot (Lazy.force identity_tt))
+  t.kind = Comb && t.n_inputs = 1 && Gap_logic.Truthtable.equal t.func inverter_tt
 
 let is_buffer t =
   t.kind = Comb && t.n_inputs = 1
-  && Gap_logic.Truthtable.equal t.func (Lazy.force identity_tt)
+  && Gap_logic.Truthtable.equal t.func identity_tt
 
 let seq_timing t =
   match t.kind with Comb -> None | Flop s | Latch s -> Some s
-
-let npn_key t = Gap_logic.Npn.canonical_key t.func
 
 let pp ppf t =
   Format.fprintf ppf "%s (drive x%.1f, cin %.2f fF, d0 %.1f ps, R %.3f kOhm, %.1f um2)"

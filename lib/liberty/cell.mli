@@ -44,8 +44,5 @@ val is_sequential : t -> bool
 val is_inverter : t -> bool
 val is_buffer : t -> bool
 val seq_timing : t -> seq_timing option
-val npn_key : t -> int64
-(** NPN-canonical key of [func]; cells in the same class are interchangeable
-    up to inverters. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,32 +1,65 @@
+module Tt = Gap_logic.Truthtable
+module Npn = Gap_logic.Npn
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   name : string;
   tech : Gap_tech.Tech.t;
   cells : Cell.t array;
-  classes : (int64 * int, Cell.t list) Hashtbl.t; (* (npn key, n_inputs) *)
+  matches : (Cell.t * Npn.transform) array Itbl.t;
+      (* keyed by [match_key] of the target function *)
   by_base : (string, Cell.t list) Hashtbl.t;
 }
 
+(* Tables of at most 4 inputs fit in 16 bits; the input count goes above. *)
+let match_key f = (Tt.vars f lsl 16) lor Int64.to_int (Tt.bits f)
+
+(* Every target function reached by some combinational cell, with the cells
+   (and their minimum-negation wirings) that realize it. Each distinct cell
+   function is expanded over its transforms once. Cells are prepended in
+   [cells] order, so every entry lists them in reverse library order. *)
+let build_matches cells =
+  let lists = Itbl.create 256 in
+  let expanded = Hashtbl.create 32 in
+  Array.iter
+    (fun (c : Cell.t) ->
+      if c.kind = Comb && c.n_inputs <= 4 then begin
+        let key = (Tt.vars c.func, Tt.bits c.func) in
+        let targets =
+          match Hashtbl.find_opt expanded key with
+          | Some ts -> ts
+          | None ->
+              let ts = Npn.best_matches c.func in
+              Hashtbl.replace expanded key ts;
+              ts
+        in
+        List.iter
+          (fun (f, tf) ->
+            let k = match_key f in
+            let existing = Option.value ~default:[] (Itbl.find_opt lists k) in
+            Itbl.replace lists k ((c, tf) :: existing))
+          targets
+      end)
+    cells;
+  let matches = Itbl.create (Itbl.length lists) in
+  Itbl.iter (fun k l -> Itbl.replace matches k (Array.of_list l)) lists;
+  matches
+
 let make ~name ~tech cell_list =
   let cells = Array.of_list cell_list in
-  let classes = Hashtbl.create 64 in
   let by_base = Hashtbl.create 64 in
   let add_to tbl key cell =
     let existing = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
     Hashtbl.replace tbl key (cell :: existing)
   in
-  Array.iter
-    (fun (c : Cell.t) ->
-      if c.kind = Comb && c.n_inputs <= 4 then
-        add_to classes (Cell.npn_key c, c.n_inputs) c;
-      add_to by_base c.base c)
-    cells;
+  Array.iter (fun (c : Cell.t) -> add_to by_base c.base c) cells;
   (* Sort the drive ladders once. *)
   Hashtbl.iter
     (fun base cs ->
       Hashtbl.replace by_base base
         (List.sort (fun (a : Cell.t) b -> Float.compare a.drive b.drive) cs))
     (Hashtbl.copy by_base);
-  { name; tech; cells; classes; by_base }
+  { name; tech; cells; matches = build_matches cells; by_base }
 
 let name t = t.name
 let tech t = t.tech
@@ -42,9 +75,13 @@ let bases t =
   Hashtbl.fold (fun base _ acc -> base :: acc) t.by_base []
   |> List.sort_uniq String.compare
 
-let cells_matching t f =
-  let key = (Gap_logic.Npn.canonical_key f, Gap_logic.Truthtable.vars f) in
-  Option.value ~default:[] (Hashtbl.find_opt t.classes key)
+let no_matches = [||]
+
+let matches t f =
+  if Tt.vars f > 4 then no_matches
+  else Option.value ~default:no_matches (Itbl.find_opt t.matches (match_key f))
+
+let cells_matching t f = Array.to_list (Array.map fst (matches t f))
 
 let inverters t =
   Array.to_list t.cells |> List.filter Cell.is_inverter

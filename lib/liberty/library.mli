@@ -1,7 +1,7 @@
 (** A standard-cell library: a set of {!Cell.t} with lookup structure.
 
     Lookups the synthesis flow needs:
-    - by NPN class of the function (technology mapping),
+    - by function up to NPN, with the wiring (technology mapping),
     - by base name and drive (sizing moves along the drive ladder),
     - the inverter / buffer / register families. *)
 
@@ -19,10 +19,17 @@ val drives_of : t -> string -> Cell.t list
 
 val bases : t -> string list
 
-val cells_matching : t -> Gap_logic.Truthtable.t -> Cell.t list
+val matches :
+  t -> Gap_logic.Truthtable.t -> (Cell.t * Gap_logic.Npn.transform) array
 (** Combinational cells whose function is NPN-equivalent to the argument
-    (compared at the argument's variable count, [<= 4]). All drive strengths
-    are returned. *)
+    (compared at the argument's variable count, [<= 4]; empty above), each
+    with the wiring [Npn.best_match ~target:f ~candidate:cell.func] picks.
+    All drive strengths are returned, in reverse library order. A table
+    lookup: the tables are built once by {!make}. The result is shared; do
+    not mutate it. *)
+
+val cells_matching : t -> Gap_logic.Truthtable.t -> Cell.t list
+(** The cells of {!matches}, in the same order. *)
 
 val inverters : t -> Cell.t list
 val buffers : t -> Cell.t list

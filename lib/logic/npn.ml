@@ -31,34 +31,13 @@ let all_transforms n =
         [ false; true ])
     perms
 
-(* Cache the transform lists: they only depend on the input count. *)
-let transform_cache = Array.init 5 (fun n -> lazy (all_transforms n))
+(* The transform lists only depend on the input count; built eagerly so any
+   domain can read them. *)
+let transform_cache = Array.init 5 (fun n -> Array.of_list (all_transforms n))
 
-let transforms_for n =
+let transforms n =
   assert (n >= 0 && n <= 4);
-  Lazy.force transform_cache.(n)
-
-let canonical f =
-  let n = Truthtable.vars f in
-  let best = ref (Truthtable.bits f) in
-  let consider t =
-    let b = Truthtable.bits (apply f t) in
-    if Int64.unsigned_compare b !best < 0 then best := b
-  in
-  List.iter consider (transforms_for n);
-  Truthtable.create ~vars:n !best
-
-let canonical_key f = Truthtable.bits (canonical f)
-
-let match_against ~target ~candidate =
-  let n = Truthtable.vars target in
-  assert (Truthtable.vars candidate = n);
-  let rec search = function
-    | [] -> None
-    | t :: rest ->
-        if Truthtable.equal (apply candidate t) target then Some t else search rest
-  in
-  search (transforms_for n)
+  transform_cache.(n)
 
 let popcount =
   let rec loop x acc = if x = 0 then acc else loop (x land (x - 1)) (acc + 1) in
@@ -76,5 +55,22 @@ let best_match ~target ~candidate =
       | Some b when negation_cost b <= negation_cost t -> ()
       | _ -> best := Some t
   in
-  List.iter consider (transforms_for n);
+  Array.iter consider (transforms n);
   !best
+
+module Itbl = Hashtbl.Make (Int)
+
+let best_matches candidate =
+  let vars = Truthtable.vars candidate in
+  (* keyed by the target's bits: at most 16 of them for [vars <= 4] *)
+  let best = Itbl.create 64 in
+  let consider t =
+    let target = Int64.to_int (Truthtable.bits (apply candidate t)) in
+    match Itbl.find_opt best target with
+    | Some b when negation_cost b <= negation_cost t -> ()
+    | _ -> Itbl.replace best target t
+  in
+  Array.iter consider (transforms vars);
+  Itbl.fold
+    (fun bits t acc -> (Truthtable.create ~vars (Int64.of_int bits), t) :: acc)
+    best []

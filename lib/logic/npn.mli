@@ -1,10 +1,11 @@
-(** NPN classification of small boolean functions.
+(** NPN matching of small boolean functions.
 
     Two functions are NPN-equivalent when one can be obtained from the other
     by Negating inputs, Permuting inputs, and/or Negating the output. The
     technology mapper matches cut functions against library cells up to NPN,
     so a library need only store one representative per class. Brute force
-    over all [n! * 2^n * 2] transforms is fine for [n <= 4]. *)
+    over all [n! * 2^n * 2] transforms is fine for [n <= 4], and is done once
+    per library cell function (see {!best_matches}), not per cut. *)
 
 type transform = {
   perm : int array;
@@ -28,22 +29,20 @@ val apply : Truthtable.t -> transform -> Truthtable.t
     inputs permuted by [t.perm], inputs in [t.input_neg] inverted, output
     inverted when [t.output_neg]. *)
 
-val canonical : Truthtable.t -> Truthtable.t
-(** Least (by raw bits) member of the NPN class. Requires [vars <= 4]. *)
-
-val canonical_key : Truthtable.t -> int64
-(** Bits of [canonical]; usable as a hash key. *)
-
-val match_against : target:Truthtable.t -> candidate:Truthtable.t -> transform option
-(** A transform [t] such that [apply candidate t = target], if the two are
-    NPN-equivalent. The mapper uses it to wire a library cell ([candidate]) so
-    that it realizes the cut function ([target]). Requires equal [vars <= 4]. *)
-
 val best_match :
   target:Truthtable.t -> candidate:Truthtable.t -> transform option
-(** Like {!match_against} but scans all transforms and returns one minimizing
-    the number of inversions (negated inputs + negated output), i.e. the
-    cheapest wiring in inverter count. *)
+(** A transform [t] such that [apply candidate t = target], if the two are
+    NPN-equivalent: the first one, in a fixed scan order over all
+    [n! * 2^n * 2] transforms, minimizing the
+    number of inversions (negated inputs + negated output), i.e. the
+    cheapest wiring in inverter count. Requires equal [vars <= 4]. *)
+
+val best_matches : Truthtable.t -> (Truthtable.t * transform) list
+(** [best_matches candidate] is every function NPN-equivalent to
+    [candidate], each paired with the transform
+    [best_match ~target ~candidate] returns for it. One pass over the
+    transforms; libraries build their match tables from it. Requires
+    [vars <= 4]. *)
 
 val negation_cost : transform -> int
 

@@ -2,13 +2,14 @@ type t = { vars : int; bits : int64 }
 
 let max_vars = 6
 
-let mask vars =
-  let rows = 1 lsl vars in
-  if rows >= 64 then -1L else Int64.sub (Int64.shift_left 1L rows) 1L
+let masks =
+  Array.init (max_vars + 1) (fun vars ->
+      let rows = 1 lsl vars in
+      if rows >= 64 then -1L else Int64.sub (Int64.shift_left 1L rows) 1L)
 
 let create ~vars bits =
   assert (vars >= 0 && vars <= max_vars);
-  { vars; bits = Int64.logand bits (mask vars) }
+  { vars; bits = Int64.logand bits masks.(vars) }
 
 let vars t = t.vars
 let bits t = t.bits
@@ -60,7 +61,7 @@ let count_ones t =
   in
   loop t.bits 0
 
-let is_const t = Int64.equal t.bits 0L || Int64.equal t.bits (mask t.vars)
+let is_const t = Int64.equal t.bits 0L || Int64.equal t.bits masks.(t.vars)
 
 let cofactor t i v =
   assert (i >= 0 && i < t.vars);
@@ -77,25 +78,73 @@ let support_size t =
   done;
   !n
 
+(* Swap inputs [i] and [j] (i < j) by mask-and-shift: the minterms with
+   x_i = 1, x_j = 0 trade places with those with x_i = 0, x_j = 1, which sit
+   [2^j - 2^i] slots higher; the rest stay put. *)
+let[@inline] swap_bits bits i j =
+  let pi = var_patterns.(i) and pj = var_patterns.(j) in
+  let shift = (1 lsl j) - (1 lsl i) in
+  let up = Int64.logand pi (Int64.lognot pj) in
+  let down = Int64.logand (Int64.lognot pi) pj in
+  Int64.logor
+    (Int64.logand bits (Int64.lognot (Int64.logor up down)))
+    (Int64.logor
+       (Int64.shift_left (Int64.logand bits up) shift)
+       (Int64.shift_right_logical (Int64.logand bits down) shift))
+
 let permute t p =
   assert (Array.length p = t.vars);
-  of_fun ~vars:t.vars (fun m ->
-      (* Input j of the new function feeds input p^-1... we define: new input
-         p.(i) plays the role of old input i, i.e. old minterm bit i = new
-         minterm bit p.(i). *)
-      let old_m = ref 0 in
-      for i = 0 to t.vars - 1 do
-        if m land (1 lsl p.(i)) <> 0 then old_m := !old_m lor (1 lsl i)
-      done;
-      eval t !old_m)
+  (* Old input i must end up at position p.(i). Fill positions 0, 1, ..
+     by swapping the wanted input in from wherever it currently sits. *)
+  let n = t.vars in
+  let at = Array.init n (fun i -> i) (* position -> old input *) in
+  let where = Array.init n (fun i -> i) (* old input -> position *) in
+  let bits = ref t.bits in
+  Array.iteri
+    (fun old_i pos ->
+      let cur = where.(old_i) in
+      if cur <> pos then begin
+        bits := swap_bits !bits (min cur pos) (max cur pos);
+        let other = at.(pos) in
+        at.(cur) <- other;
+        where.(other) <- cur;
+        at.(pos) <- old_i;
+        where.(old_i) <- pos
+      end)
+    p;
+  create ~vars:n !bits
 
 let negate_input t i =
   assert (i >= 0 && i < t.vars);
-  of_fun ~vars:t.vars (fun m -> eval t (m lxor (1 lsl i)))
+  let p = var_patterns.(i) and shift = 1 lsl i in
+  create ~vars:t.vars
+    (Int64.logor
+       (Int64.shift_right_logical (Int64.logand t.bits p) shift)
+       (Int64.shift_left (Int64.logand t.bits (Int64.lognot p)) shift))
+
+(* Replicate the table across the halves of inputs [from .. vars-1]. *)
+let[@inline] replicate bits ~from ~vars =
+  let bits = ref bits in
+  for v = from to vars - 1 do
+    bits := Int64.logor !bits (Int64.shift_left !bits (1 lsl v))
+  done;
+  !bits
 
 let expand t ~vars =
   assert (vars >= t.vars && vars <= max_vars);
-  of_fun ~vars (fun m -> eval t (m land ((1 lsl t.vars) - 1)))
+  create ~vars (replicate t.bits ~from:t.vars ~vars)
+
+let stretch t ~vars pos =
+  assert (Array.length pos = t.vars && vars >= t.vars && vars <= max_vars);
+  let bits = ref (replicate t.bits ~from:t.vars ~vars) in
+  (* Move the inputs top-down: every slot above input i is by then either a
+     placed input or a don't-care, and pos.(i) is one of the latter. *)
+  for i = t.vars - 1 downto 0 do
+    let p = pos.(i) in
+    assert (p >= i && p < vars && (i = t.vars - 1 || p < pos.(i + 1)));
+    if p <> i then bits := swap_bits !bits i p
+  done;
+  create ~vars !bits
 
 let is_positive_unate_in t i =
   if not (depends_on t i) then true

@@ -1,10 +1,11 @@
 module Json = Gap_obs.Json
 
+(* [ic] and [oc] wrap the one socket fd; [oc] owns it. *)
 type t = {
-  fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
   mutable next_id : int;
+  mutable closed : bool;
 }
 
 let connect addr =
@@ -16,10 +17,10 @@ let connect addr =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   {
-    fd;
     ic = Unix.in_channel_of_descr fd;
     oc = Unix.out_channel_of_descr fd;
     next_id = 1;
+    closed = false;
   }
 
 type connect_error =
@@ -72,9 +73,16 @@ let connect_retry ?(base_delay_s = 0.01) ?(max_delay_s = 0.5) ?(deadline_s = 5.0
   in
   go 0
 
+(* Close the fd exactly once, through [oc]. Closing [ic] as well would
+   close the same fd number a second time, and in a threaded process that
+   number may by then belong to a socket another thread just opened. [ic]
+   is left unclosed (channels never close their fd on collection) and is
+   unreachable through [t] once [closed] is set. *)
 let close t =
-  close_out_noerr t.oc;
-  close_in_noerr t.ic
+  if not t.closed then begin
+    t.closed <- true;
+    close_out_noerr t.oc
+  end
 
 let send_line t line =
   output_string t.oc line;
@@ -86,13 +94,15 @@ let send_raw t s =
   flush t.oc
 
 let raw_roundtrip t line =
-  match
-    send_line t line;
-    input_line t.ic
-  with
-  | resp -> Ok resp
-  | exception End_of_file -> Error "connection closed"
-  | exception Sys_error e -> Error e
+  if t.closed then Error "connection closed"
+  else
+    match
+      send_line t line;
+      input_line t.ic
+    with
+    | resp -> Ok resp
+    | exception End_of_file -> Error "connection closed"
+    | exception Sys_error e -> Error e
 
 let request t op =
   let id = t.next_id in

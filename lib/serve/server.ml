@@ -525,12 +525,14 @@ let stop t =
     | Protocol.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
     | Protocol.Tcp _ -> ());
     (* wake blocked readers: a half-closed socket reads EOF, ending its
-       connection thread *)
-    let conns = locked t (fun () -> t.conns) in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
+       connection thread. Under the lock: a connection thread leaves
+       [t.conns] before it closes its fd, so every fd listed is still open
+       and cannot be a reused number belonging to someone else. *)
+    locked t (fun () ->
+        List.iter
+          (fun fd ->
+            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+          t.conns);
     locked t (fun () ->
         match Cache.try_flush t.cache with
         | Ok () -> ()
@@ -704,7 +706,7 @@ let handle_conn t fd =
   | End_of_file -> ());
   locked t (fun () -> release_client t cl);
   remove_conn t fd;
-  (* closing the out channel closes the underlying fd *)
+  (* [oc] owns the fd: closing it is the one close of the connection *)
   (try close_out_noerr oc with _ -> ())
 
 let accept_loop t fd =

@@ -1,9 +1,9 @@
 module Aig = Gap_logic.Aig
-module Tt = Gap_logic.Truthtable
 module Npn = Gap_logic.Npn
 module Cell = Gap_liberty.Cell
 module Library = Gap_liberty.Library
 module Netlist = Gap_netlist.Netlist
+module Obs = Gap_obs.Obs
 
 type mode = Delay | Area
 
@@ -60,8 +60,6 @@ type ctx = {
          capacitance back onto the (not-yet-chosen) leaf drivers, so the DP
          does not pick huge-cin cells that would slow their fanins *)
   inv : Cell.t;
-  (* transform cache keyed by (cut function bits, cell name) *)
-  match_cache : (int64 * string, Npn.transform option) Hashtbl.t;
 }
 
 let load_estimate ctx id =
@@ -70,73 +68,54 @@ let load_estimate ctx id =
   | _ -> float_of_int (max 1 ctx.fanout.(id)) *. ctx.cin
 let inv_delay ctx = Cell.delay_ps ctx.inv ~load_ff:ctx.cin
 
-let cached_match ctx ~target ~(cell : Cell.t) =
-  let key = (Tt.bits target, cell.name) in
-  match Hashtbl.find_opt ctx.match_cache key with
-  | Some r -> r
-  | None ->
-      let r = Npn.best_match ~target ~candidate:cell.func in
-      Hashtbl.replace ctx.match_cache key r;
-      r
-
-let leaf_cost ctx leaf negated =
-  let b = ctx.best.(leaf) in
-  let arr = b.arrival +. if negated then inv_delay ctx else 0. in
-  let af = b.area_flow +. if negated then ctx.inv.Cell.area_um2 else 0. in
-  (arr, af)
-
-let evaluate_choice ctx id (cut : Cuts.cut) (cell : Cell.t) tf =
-  let input_load_penalty = ctx.r_est_kohm *. cell.Cell.input_cap_ff in
-  let worst_arr = ref 0. and area_acc = ref 0. in
-  Array.iteri
-    (fun leaf_idx leaf ->
-      let negated = tf.Npn.input_neg land (1 lsl leaf_idx) <> 0 in
-      let arr, af = leaf_cost ctx leaf negated in
-      let arr = arr +. input_load_penalty in
-      if arr > !worst_arr then worst_arr := arr;
-      area_acc := !area_acc +. af)
-    cut.leaves;
-  let gate_delay = Cell.delay_ps cell ~load_ff:(load_estimate ctx id) in
-  let out_inv = if tf.Npn.output_neg then inv_delay ctx else 0. in
-  let arrival = !worst_arr +. gate_delay +. out_inv in
-  let raw_area =
-    cell.Cell.area_um2
-    +. (if tf.Npn.output_neg then ctx.inv.Cell.area_um2 else 0.)
-    +. !area_acc
-  in
-  let area_flow = raw_area /. float_of_int (max 1 ctx.fanout.(id)) in
-  (arrival, area_flow)
-
-let better ctx (arr1, af1) (arr2, af2) =
-  match ctx.mode with
+let[@inline] better mode arr1 af1 arr2 af2 =
+  match mode with
   | Delay -> arr1 < arr2 -. 1e-9 || (Float.abs (arr1 -. arr2) <= 1e-9 && af1 < af2)
   | Area -> af1 < af2 -. 1e-9 || (Float.abs (af1 -. af2) <= 1e-9 && arr1 < arr2)
 
+(* Cost [cell] wired by [tf] over [cut] as the implementation of node [id]
+   (with output load [load]) and keep it in [b] if it beats the incumbent.
+   Inverters on negated leaves and on a negated output are charged in both
+   delay and area. Floats stay local so the hot loop does not allocate. *)
+let consider ctx b id ~load ~inv_d (cut : Cuts.cut) ((cell : Cell.t), (tf : Npn.transform)) =
+  let input_load_penalty = ctx.r_est_kohm *. cell.input_cap_ff in
+  let inv_area = ctx.inv.Cell.area_um2 in
+  let worst_arr = ref 0. and area_acc = ref 0. in
+  for leaf_idx = 0 to Array.length cut.leaves - 1 do
+    let lb = ctx.best.(cut.leaves.(leaf_idx)) in
+    let negated = tf.input_neg land (1 lsl leaf_idx) <> 0 in
+    let arr = lb.arrival +. (if negated then inv_d else 0.) +. input_load_penalty in
+    if arr > !worst_arr then worst_arr := arr;
+    area_acc := !area_acc +. (lb.area_flow +. if negated then inv_area else 0.)
+  done;
+  let arrival =
+    !worst_arr +. Cell.delay_ps cell ~load_ff:load +. if tf.output_neg then inv_d else 0.
+  in
+  let raw_area = cell.area_um2 +. (if tf.output_neg then inv_area else 0.) +. !area_acc in
+  let area_flow = raw_area /. float_of_int (max 1 ctx.fanout.(id)) in
+  if Option.is_none b.choice || better ctx.mode arrival area_flow b.arrival b.area_flow
+  then begin
+    b.arrival <- arrival;
+    b.area_flow <- area_flow;
+    b.choice <- Some { cut; cell; tf }
+  end
+
 let compute_best ctx =
   let n = Aig.num_nodes ctx.g in
+  let inv_d = inv_delay ctx in
+  let n_cuts = ref 0 and n_candidates = ref 0 in
   for id = 0 to n - 1 do
+    n_cuts := !n_cuts + List.length ctx.cuts.(id);
     if Aig.is_and ctx.g id then begin
       let b = ctx.best.(id) in
+      let load = load_estimate ctx id in
       List.iter
         (fun (cut : Cuts.cut) ->
           (* The trivial cut {id} is not implementable. *)
           if not (Cuts.size cut = 1 && cut.leaves.(0) = id) then begin
-            let f = Cuts.cut_function ctx.g id cut in
-            let candidates = Library.cells_matching ctx.lib f in
-            List.iter
-              (fun (cell : Cell.t) ->
-                match cached_match ctx ~target:f ~cell with
-                | None -> ()
-                | Some tf ->
-                    let arr, af = evaluate_choice ctx id cut cell tf in
-                    if Option.is_none b.choice
-                       || better ctx (arr, af) (b.arrival, b.area_flow)
-                    then begin
-                      b.arrival <- arr;
-                      b.area_flow <- af;
-                      b.choice <- Some { cut; cell; tf }
-                    end)
-              candidates
+            let candidates = Library.matches ctx.lib cut.tt in
+            n_candidates := !n_candidates + Array.length candidates;
+            Array.iter (consider ctx b id ~load ~inv_d cut) candidates
           end)
         ctx.cuts.(id);
       if Option.is_none b.choice then
@@ -144,7 +123,9 @@ let compute_best ctx =
           (Printf.sprintf "Mapper: no library match for node %d (library %s)" id
              (Library.name ctx.lib))
     end
-  done
+  done;
+  Obs.incr ~by:!n_cuts "synth.map.cuts";
+  Obs.incr ~by:!n_candidates "synth.map.candidates"
 
 let make_ctx ?load_override ~lib ~mode g =
   let cuts = Cuts.enumerate g in
@@ -164,7 +145,6 @@ let make_ctx ?load_override ~lib ~mode g =
       cin = avg_cin lib;
       r_est_kohm = (mapping_inverter lib).Cell.drive_res_kohm;
       inv = mapping_inverter lib;
-      match_cache = Hashtbl.create 1024;
     }
   in
   compute_best ctx;

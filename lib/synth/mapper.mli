@@ -1,9 +1,11 @@
 (** Cut-based technology mapping: covers an AIG with library cells.
 
-    For every AND node the mapper enumerates k-feasible cuts, matches each
-    cut function against the library up to NPN (inverters are inserted for
-    negated pins and charged in the cost), and keeps the best implementation
-    by dynamic programming over the topological order:
+    For every AND node the mapper enumerates k-feasible cuts (each carrying
+    its truth table), looks each cut function up in the library's
+    precomputed NPN match table ({!Gap_liberty.Library.matches}: the cells
+    realizing it, each with its minimum-negation wiring; inverters are
+    inserted for negated pins and charged in the cost), and keeps the best
+    implementation by dynamic programming over the topological order:
 
     - [Delay] mode minimizes estimated arrival (load estimated from AIG
       fanout counts, since real loads exist only after the cover is chosen);
@@ -11,7 +13,9 @@
 
     The mapped result is a combinational {!Gap_netlist.Netlist.t} with the
     same primary inputs/outputs as the AIG. Mapping always succeeds on
-    libraries containing at least NAND2 and INV. *)
+    libraries containing at least NAND2 and INV. Each DP pass counts its
+    work in the [synth.map.cuts] (cuts enumerated) and
+    [synth.map.candidates] (cell candidates costed) counters. *)
 
 type mode = Delay | Area
 

@@ -71,6 +71,75 @@ let test_npn_class_lookup () =
   Alcotest.(check bool) "NAND2 in class (output-negated)" true (List.mem "NAND2" bases);
   Alcotest.(check bool) "NOR2 in class (input-negated)" true (List.mem "NOR2" bases)
 
+(* The match table against a direct scan: for every target, the comb cells
+   of the target's input count in reverse library order, each with the
+   transform [Npn.best_match] picks, and nothing else. *)
+let all_libs =
+  lazy
+    (List.map (Libgen.make tech)
+       [ Libgen.rich; Libgen.poor; Libgen.typical; Libgen.domino; Libgen.custom ])
+
+let scan_matches lib f =
+  Array.to_list (Library.cells lib)
+  |> List.filter_map (fun (c : Cell.t) ->
+         if c.kind = Cell.Comb && c.n_inputs = Gap_logic.Truthtable.vars f then
+           Gap_logic.Npn.best_match ~target:f ~candidate:c.func
+           |> Option.map (fun t -> (c, t))
+         else None)
+  |> List.rev
+
+let table_agrees lib f =
+  let same ((c : Cell.t), t) ((c' : Cell.t), t') = c == c' && t = t' in
+  let got = Array.to_list (Library.matches lib f) and want = scan_matches lib f in
+  List.length got = List.length want && List.for_all2 same got want
+
+let test_match_table_small_functions () =
+  List.iter
+    (fun lib ->
+      for vars = 1 to 3 do
+        for bits = 0 to (1 lsl (1 lsl vars)) - 1 do
+          let f = Gap_logic.Truthtable.create ~vars (Int64.of_int bits) in
+          if not (table_agrees lib f) then
+            Alcotest.failf "%s: match table disagrees with best_match on %a"
+              (Library.name lib) Gap_logic.Truthtable.pp f
+        done
+      done)
+    (Lazy.force all_libs)
+
+(* Random 4-input targets: half uniformly random (mostly unmatched), half a
+   random transform of some library's 4-input cell function (always
+   matched). *)
+let four_input_cell_funcs =
+  lazy
+    (List.concat_map
+       (fun lib ->
+         Array.to_list (Library.cells lib)
+         |> List.filter_map (fun (c : Cell.t) ->
+                if c.kind = Cell.Comb && c.n_inputs = 4 then Some c.func else None))
+       (Lazy.force all_libs)
+    |> Array.of_list)
+
+let match_table_four_inputs =
+  QCheck.Test.make ~name:"match table = best_match (4 inputs)" ~count:60
+    (QCheck.make
+       ~print:(fun (_, bits, _, _) -> Int64.to_string bits)
+       QCheck.Gen.(quad bool int64 (int_bound 1_000_000) (int_bound 767)))
+    (fun (uniform, bits, cell_idx, tf_idx) ->
+      let f =
+        if uniform then Gap_logic.Truthtable.create ~vars:4 bits
+        else
+          let funcs = Lazy.force four_input_cell_funcs in
+          let tf =
+            {
+              Gap_logic.Npn.perm = List.nth (Gap_logic.Npn.permutations 4) (tf_idx mod 24);
+              input_neg = tf_idx / 24 mod 16;
+              output_neg = tf_idx >= 384;
+            }
+          in
+          Gap_logic.Npn.apply funcs.(cell_idx mod Array.length funcs) tf
+      in
+      List.for_all (fun lib -> table_agrees lib f) (Lazy.force all_libs))
+
 let test_inverter_buffer_identification () =
   let lib = Lazy.force rich in
   Alcotest.(check bool) "has inverters" true (Library.inverters lib <> []);
@@ -207,6 +276,8 @@ let suite =
     ("library lookups", `Quick, test_library_lookups);
     ("drive ladder navigation", `Quick, test_drive_ladder_navigation);
     ("NPN class lookup", `Quick, test_npn_class_lookup);
+    ("match table = best_match (1-3 in)", `Quick, test_match_table_small_functions);
+    QCheck_alcotest.to_alcotest match_table_four_inputs;
     ("inverter/buffer identification", `Quick, test_inverter_buffer_identification);
     ("poor library shape", `Quick, test_poor_library_shape);
     ("domino library monotone", `Quick, test_domino_library_monotone);

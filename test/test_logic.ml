@@ -1,9 +1,11 @@
-(* Tests for Gap_logic: truth tables, NPN classification, expressions, AIGs. *)
+(* Tests for Gap_logic: truth tables, NPN matching, expressions, AIGs. *)
 
 module Tt = Gap_logic.Truthtable
 module Npn = Gap_logic.Npn
 module Expr = Gap_logic.Expr
 module Aig = Gap_logic.Aig
+module Cell = Gap_liberty.Cell
+module Library = Gap_liberty.Library
 
 let tt_gen vars =
   QCheck.Gen.map (fun bits -> Tt.create ~vars bits) QCheck.Gen.int64
@@ -60,6 +62,55 @@ let negate_involution =
   QCheck.Test.make ~name:"tt negate_input involution" ~count:200 (tt_arb 4) (fun f ->
       Tt.equal f (Tt.negate_input (Tt.negate_input f 1) 1))
 
+(* Minterm-by-minterm references for the mask-and-shift operations. *)
+let ref_permute f p =
+  let n = Tt.vars f in
+  Tt.of_fun ~vars:n (fun m ->
+      let old_m = ref 0 in
+      for i = 0 to n - 1 do
+        if m land (1 lsl p.(i)) <> 0 then old_m := !old_m lor (1 lsl i)
+      done;
+      Tt.eval f !old_m)
+
+let ref_stretch f ~vars pos =
+  Tt.of_fun ~vars (fun m ->
+      let old_m = ref 0 in
+      Array.iteri
+        (fun i p -> if m land (1 lsl p) <> 0 then old_m := !old_m lor (1 lsl i))
+        pos;
+      Tt.eval f !old_m)
+
+let shuffle_gen n =
+  QCheck.Gen.(
+    map
+      (fun keys ->
+        let idx = Array.init n (fun i -> i) in
+        Array.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) idx;
+        idx)
+      (array_repeat n (int_bound 1000)))
+
+let tt_bitops_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun vars ->
+      int_range vars 6 >>= fun wide ->
+      quad int64 (shuffle_gen vars) (int_bound (vars - 1)) (shuffle_gen wide)
+      >|= fun (bits, perm, i, shuffled) -> (Tt.create ~vars bits, perm, i, wide, shuffled))
+  in
+  QCheck.Test.make ~name:"tt bit ops match minterm reference" ~count:300 (QCheck.make gen)
+    (fun (f, perm, i, wide, shuffled) ->
+      let n = Tt.vars f in
+      (* the first [n] of a shuffle of [0, wide), sorted: a strictly increasing
+         placement of f's inputs among [wide] *)
+      let pos = Array.sub shuffled 0 n in
+      Array.sort Int.compare pos;
+      let negated = Tt.of_fun ~vars:n (fun m -> Tt.eval f (m lxor (1 lsl i))) in
+      let expanded = Tt.of_fun ~vars:wide (fun m -> Tt.eval f (m land ((1 lsl n) - 1))) in
+      Tt.equal (Tt.permute f perm) (ref_permute f perm)
+      && Tt.equal (Tt.negate_input f i) negated
+      && Tt.equal (Tt.expand f ~vars:wide) expanded
+      && Tt.equal (Tt.stretch f ~vars:wide pos) (ref_stretch f ~vars:wide pos))
+
 let test_tt_monotone () =
   let vars = 3 in
   let and3 = Tt.logand (Tt.logand (Tt.var ~vars 0) (Tt.var ~vars 1)) (Tt.var ~vars 2) in
@@ -92,22 +143,39 @@ let test_npn_permutation_count () =
   Alcotest.(check int) "4!" 24 (List.length (Npn.permutations 4));
   Alcotest.(check int) "3!" 6 (List.length (Npn.permutations 3))
 
-let npn_canonical_invariant =
-  QCheck.Test.make ~name:"npn canonical is transform-invariant" ~count:150
+let rich = lazy (Gap_liberty.Libgen.make Gap_tech.Tech.asic_025um Gap_liberty.Libgen.rich)
+let match_names lib f =
+  Array.to_list (Array.map (fun ((c : Cell.t), _) -> c.name) (Library.matches lib f))
+
+(* NPN-equivalent functions are realized by the same cells: the match table
+   of the rich library is invariant under every transform. *)
+let npn_matches_invariant =
+  QCheck.Test.make ~name:"npn matches transform-invariant" ~count:150
     (QCheck.pair (tt_arb 3) (QCheck.make QCheck.Gen.(pair (int_bound 5) (pair (int_bound 7) bool))))
     (fun (f, (perm_idx, (neg_mask, out_neg))) ->
+      let lib = Lazy.force rich in
       let perm = List.nth (Npn.permutations 3) perm_idx in
       let t = { Npn.perm; input_neg = neg_mask; output_neg = out_neg } in
       let g = Npn.apply f t in
-      Int64.equal (Npn.canonical_key f) (Npn.canonical_key g))
+      match_names lib f = match_names lib g)
 
-let npn_match_roundtrip =
-  QCheck.Test.make ~name:"npn match_against wires correctly" ~count:150
-    (QCheck.pair (tt_arb 3) (tt_arb 3))
-    (fun (target, candidate) ->
-      match Npn.match_against ~target ~candidate with
-      | None -> not (Int64.equal (Npn.canonical_key target) (Npn.canonical_key candidate))
-      | Some t -> Tt.equal (Npn.apply candidate t) target)
+(* Every table entry wires its cell to the target; a cell left out of the
+   entry has no NPN wiring to the target at all. *)
+let npn_matches_wire =
+  QCheck.Test.make ~name:"npn matches wire correctly" ~count:150
+    (QCheck.pair (QCheck.int_range 1 4) (QCheck.make QCheck.Gen.int64))
+    (fun (vars, bits) ->
+      let lib = Lazy.force rich in
+      let target = Tt.create ~vars bits in
+      let found = Library.matches lib target in
+      Array.for_all (fun ((c : Cell.t), t) -> Tt.equal (Npn.apply c.func t) target) found
+      && Array.for_all
+           (fun (c : Cell.t) ->
+             c.kind <> Cell.Comb
+             || Tt.vars c.func <> vars
+             || Array.exists (fun ((c' : Cell.t), _) -> c' == c) found
+             || Option.is_none (Npn.best_match ~target ~candidate:c.func))
+           (Library.cells lib))
 
 let test_npn_best_match_cost () =
   (* AND2 as target, NAND2 as candidate: best wiring needs exactly one
@@ -279,12 +347,13 @@ let suite =
     ("tt depends/support", `Quick, test_tt_depends);
     QCheck_alcotest.to_alcotest permute_roundtrip;
     QCheck_alcotest.to_alcotest negate_involution;
+    QCheck_alcotest.to_alcotest tt_bitops_reference;
     ("tt monotone/unate", `Quick, test_tt_monotone);
     ("tt expand", `Quick, test_tt_expand);
     ("tt count_ones", `Quick, test_tt_count_ones);
     ("npn permutation count", `Quick, test_npn_permutation_count);
-    QCheck_alcotest.to_alcotest npn_canonical_invariant;
-    QCheck_alcotest.to_alcotest npn_match_roundtrip;
+    QCheck_alcotest.to_alcotest npn_matches_invariant;
+    QCheck_alcotest.to_alcotest npn_matches_wire;
     ("npn best match cost", `Quick, test_npn_best_match_cost);
     ("npn identity", `Quick, test_npn_identity);
     ("expr mux eval", `Quick, test_expr_eval);

@@ -166,6 +166,62 @@ let test_concurrent_identical_coalesce () =
             "the worker pool saw exactly one job" 1
             (Obs.counter_value sink "dse.pool.jobs")))
 
+(* Connection churn next to a long-lived connection. [Client.close] once
+   closed its socket through both of its channels, so the fd was closed
+   twice; a socket opened by another thread in between (a churning client,
+   or the daemon's accept) got the reused fd number and was killed by the
+   second close: a reset connection, or a client blocked forever reading a
+   socket that is no longer its own. The workload runs on its own thread
+   under a deadline so that a hang fails the test instead of stalling the
+   suite. *)
+let test_client_churn () =
+  with_server (fun _ addr ->
+      with_client addr (fun long ->
+          let p = fresh_point () in
+          let expect = Json.to_string (Eval.to_json (Eval.point p)) in
+          let failures = Atomic.make 0 and stop = Atomic.make false in
+          let churn () =
+            while not (Atomic.get stop) do
+              match Client.connect_retry addr with
+              | Error _ -> Atomic.incr failures
+              | Ok cl ->
+                  if not (Client.ping cl) then Atomic.incr failures;
+                  Client.close cl
+            done
+          in
+          let workload () =
+            let churners = Array.init 4 (fun _ -> Thread.create churn ()) in
+            let answers =
+              List.init 300 (fun _ ->
+                  match Client.eval long p with
+                  | Ok j -> Json.to_string j
+                  | Error e -> "ERR " ^ Protocol.err_to_string e)
+            in
+            Atomic.set stop true;
+            Array.iter Thread.join churners;
+            answers
+          in
+          let result = Atomic.make None in
+          let runner = Thread.create (fun () -> Atomic.set result (Some (workload ()))) () in
+          let deadline = Unix.gettimeofday () +. 60. in
+          while Option.is_none (Atomic.get result) && Unix.gettimeofday () < deadline do
+            Thread.delay 0.02
+          done;
+          match Atomic.get result with
+          | None ->
+              Atomic.set stop true;
+              Alcotest.fail "connection churn hung: a client blocked on a socket closed under it"
+          | Some answers ->
+              Thread.join runner;
+              List.iteri
+                (fun i r ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "long-lived answer %d byte-identical" i)
+                    expect r)
+                answers;
+              Alcotest.(check int) "no churning client lost its connection" 0
+                (Atomic.get failures)))
+
 let test_poisoned_request_typed_error () =
   with_server (fun t addr ->
       with_client addr (fun cl ->
@@ -384,6 +440,7 @@ let suite =
     ("address parsing", `Quick, test_addr_parsing);
     ("eval responses byte-identical to CLI", `Quick, test_serve_eval_byte_identical);
     ("N concurrent identical requests, 1 eval", `Quick, test_concurrent_identical_coalesce);
+    ("client churn beside a long-lived conn", `Quick, test_client_churn);
     ("poisoned request returns typed error", `Quick, test_poisoned_request_typed_error);
     ("malformed line survives", `Quick, test_malformed_line_survives);
     ("sweep and pareto over the wire", `Quick, test_sweep_and_pareto_ops);

@@ -4,6 +4,7 @@
 
 module Aig = Gap_logic.Aig
 module Cuts = Gap_synth.Cuts
+module Tt = Gap_logic.Truthtable
 module Netlist = Gap_netlist.Netlist
 module Sim = Gap_netlist.Sim
 module Sta = Gap_sta.Sta
@@ -41,18 +42,71 @@ let test_cuts_trivial_inputs () =
   let node_cuts = cuts.(Aig.id_of_lit ab) in
   Alcotest.(check bool) "and node has trivial + leaf cut" true (List.length node_cuts >= 2)
 
+(* Reference for [cut.tt]: the function of [root] over the cut leaves by a
+   memoized recursive walk of the AIG, leaf [i] as input [i]. *)
+let cut_function g root (cut : Cuts.cut) =
+  let vars = Array.length cut.leaves in
+  let leaf_index = Hashtbl.create 8 in
+  Array.iteri (fun i leaf -> Hashtbl.replace leaf_index leaf i) cut.leaves;
+  let memo = Hashtbl.create 64 in
+  let rec of_node id =
+    match Hashtbl.find_opt memo id with
+    | Some tt -> tt
+    | None ->
+        let tt =
+          match Hashtbl.find_opt leaf_index id with
+          | Some i -> Tt.var ~vars i
+          | None ->
+              if id = 0 then Tt.const_false ~vars
+              else if Aig.is_input g id then failwith "cut_function: cut does not cover root"
+              else begin
+                let a, b = Aig.fanins g id in
+                Tt.logand (of_lit a) (of_lit b)
+              end
+        in
+        Hashtbl.replace memo id tt;
+        tt
+  and of_lit l =
+    let tt = of_node (Aig.id_of_lit l) in
+    if Aig.is_compl l then Tt.lognot tt else tt
+  in
+  of_node root
+
 let test_cut_function () =
   let g = Aig.create () in
   let a = Aig.add_input g "a" and b = Aig.add_input g "b" and c = Aig.add_input g "c" in
   let ab = Aig.and_ g a b in
   let abc = Aig.and_ g ab (Aig.negate c) in
   Aig.add_output g "y" abc;
-  let cut = { Cuts.leaves = [| Aig.id_of_lit a; Aig.id_of_lit b; Aig.id_of_lit c |] } in
-  let f = Cuts.cut_function g (Aig.id_of_lit abc) cut in
-  for m = 0 to 7 do
-    let bit i = m land (1 lsl i) <> 0 in
-    Alcotest.(check bool) "cut function" (bit 0 && bit 1 && not (bit 2)) (Gap_logic.Truthtable.eval f m)
-  done
+  let leaves = [| Aig.id_of_lit a; Aig.id_of_lit b; Aig.id_of_lit c |] in
+  let cuts = (Cuts.enumerate g).(Aig.id_of_lit abc) in
+  match List.find_opt (fun (c : Cuts.cut) -> c.leaves = leaves) cuts with
+  | None -> Alcotest.fail "the input cut {a, b, c} was not enumerated"
+  | Some cut ->
+      for m = 0 to 7 do
+        let bit i = m land (1 lsl i) <> 0 in
+        Alcotest.(check bool) "cut function" (bit 0 && bit 1 && not (bit 2)) (Tt.eval cut.tt m)
+      done
+
+let cut_tables_match_reference =
+  QCheck.Test.make ~name:"cuts: tables = recursive reference" ~count:40
+    QCheck.(pair (int_range 0 10000) bool)
+    (fun (seed, wide) ->
+      let k = if wide then 6 else 4 in
+      let g =
+        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:10
+          ~outputs:4 ~gates:50 ()
+      in
+      let cuts = Cuts.enumerate ~k g in
+      let ok = ref true in
+      Array.iteri
+        (fun id cs ->
+          List.iter
+            (fun (c : Cuts.cut) ->
+              if not (Tt.equal c.tt (cut_function g id c)) then ok := false)
+            cs)
+        cuts;
+      !ok)
 
 let test_cuts_k_bound () =
   let g = Gap_datapath.Adders.ripple_adder 8 in
@@ -312,6 +366,7 @@ let suite =
   [
     ("cuts: inputs trivial", `Quick, test_cuts_trivial_inputs);
     ("cuts: cut function", `Quick, test_cut_function);
+    QCheck_alcotest.to_alcotest cut_tables_match_reference;
     ("cuts: k bound respected", `Quick, test_cuts_k_bound);
     ("balance: chain to log depth", `Quick, test_balance_chain_depth);
     QCheck_alcotest.to_alcotest balance_preserves_function;
