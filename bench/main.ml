@@ -39,6 +39,7 @@ let mult8 = Gap_datapath.Multiplier.array_multiplier ~width:8
 let ks16 = Gap_datapath.Adders.kogge_stone_adder 16
 let alu16_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Alu.alu 16))
 let mult6_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Multiplier.array_multiplier ~width:6))
+let cla16_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Adders.cla_adder 16))
 let factors = lazy (Gap_core.Factors.all ())
 
 let bench_tests =
@@ -180,7 +181,11 @@ let run_benchmarks ~quota () =
    d1 — because per-sample allocation forced constant cross-domain minor-GC
    synchronization. The synth_map_cla32_rich baseline is the per-cut NPN
    search mapper (commit ba9df30), measured by this harness on a 2-CPU
-   container, where the match-table mapper runs the kernel in ~5.3 ms. *)
+   container, where the match-table mapper runs the kernel in ~5.3 ms. The
+   ssta_alu16_50 and power_est_cla16 baselines are the median of three runs
+   of this harness at commit af1221f on the same 2-CPU container, before
+   netlists kept their topological order and before power estimation
+   simulated each vector once. *)
 let seed_baseline_ns =
   [
     ("e4_sta", 492327.);
@@ -192,6 +197,8 @@ let seed_baseline_ns =
     ("mc_60000_d4", 89012000.);
     ("mc_60000_pctl", 113284614.);
     ("synth_map_cla32_rich", 881890000.);
+    ("ssta_alu16_50", 27703510.);
+    ("power_est_cla16", 101144151.);
   ]
 
 let mc_model = lazy (Gap_variation.Model.make Gap_variation.Model.mature)
@@ -254,6 +261,16 @@ let kernel_tests =
         (Staged.stage (fun () -> Gap_synth.Mapper.map_aig ~lib:rich_lib cla32));
       Test.make ~name:"dse_key_fnv"
         (Staged.stage (fun () -> Gap_dse.Key.of_point Gap_dse.Space.custom_corner));
+      (* loops that evaluate one netlist many times: SSTA re-times alu16 once
+         per sample (and restores its wire delays, so runs repeat), power
+         estimation simulates cla16 once per vector *)
+      Test.make ~name:"ssta_alu16_50"
+        (Staged.stage (fun () ->
+             Gap_variation.Ssta.simulate ~samples:50 ~sigma_cell:0.05
+               (Lazy.force alu16_netlist)));
+      Test.make ~name:"power_est_cla16"
+        (Staged.stage (fun () ->
+             Gap_netlist.Power_est.estimate (Lazy.force cla16_netlist) ~freq_mhz:250.));
     ]
 
 (* Parallel-scaling gate over mc_60000: d4/d1 wall-clock ratio. The
@@ -304,6 +321,7 @@ let write_kernels_json ?history path =
   print_endline "=== hot-kernel benchmarks ===";
   ignore (Lazy.force alu16_netlist);
   ignore (Lazy.force mult6_netlist);
+  ignore (Lazy.force cla16_netlist);
   Gap_dse.Eval.warmup ();
   (* fixed 1s quota: several kernels run >10 ms each, and a short quota
      gives the OLS fit too few samples to be trustworthy.  The sink is NOT

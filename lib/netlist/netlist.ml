@@ -30,10 +30,23 @@ type t = {
   insts : instance Vec.t;
   ins : (string * int) Vec.t;
   outs : (string * int) Vec.t;
+  (* combinational-topological order of the current instance graph, built on
+     first demand; every mutator that can change the graph clears it *)
+  mutable topo : int array option;
 }
 
 let create ~lib name =
-  { name; lib; nets = Vec.create (); insts = Vec.create (); ins = Vec.create (); outs = Vec.create () }
+  {
+    name;
+    lib;
+    nets = Vec.create ();
+    insts = Vec.create ();
+    ins = Vec.create ();
+    outs = Vec.create ();
+    topo = None;
+  }
+
+let invalidate t = t.topo <- None
 
 let name t = t.name
 let lib t = t.lib
@@ -51,13 +64,17 @@ let add_const t b = new_net t (if b then "const1" else "const0") (From_const b)
 
 let add_net t nname = new_net t nname Undriven
 
-let unsafe_set_driver t n d = (Vec.get t.nets n).driver <- d
+let unsafe_set_driver t n d =
+  invalidate t;
+  (Vec.get t.nets n).driver <- d
 
 let unsafe_set_fanins t i fanins =
+  invalidate t;
   (Vec.get t.insts i).fanins <- Array.copy fanins
 
 let add_cell t cell fanins =
   assert (Array.length fanins = cell.Gap_liberty.Cell.n_inputs);
+  invalidate t;
   let inst_id = Vec.length t.insts in
   let iname = Printf.sprintf "u%d" inst_id in
   let onet = new_net t (Printf.sprintf "n%d" (Vec.length t.nets)) (From_cell inst_id) in
@@ -135,16 +152,25 @@ let pin_load_ff t = function
   | To_output _ -> 0.
   | To_pin (inst, _) -> (cell_of t inst).Gap_liberty.Cell.input_cap_ff
 
+let rec add_sink_loads t acc = function
+  | [] -> acc
+  | s :: rest -> add_sink_loads t (acc +. pin_load_ff t s) rest
+
 let net_load_ff t n =
   let net = Vec.get t.nets n in
-  List.fold_left (fun acc s -> acc +. pin_load_ff t s) net.wcap net.sinks
+  add_sink_loads t net.wcap net.sinks
 
 let replace_cell t i cell =
   let inst = Vec.get t.insts i in
   assert (cell.Gap_liberty.Cell.n_inputs = inst.cell.Gap_liberty.Cell.n_inputs);
+  (* flops cut combinational edges, so only a sequential/combinational swap
+     changes the graph; resizing keeps the cached order *)
+  if not (Bool.equal (Gap_liberty.Cell.is_sequential cell) (Gap_liberty.Cell.is_sequential inst.cell))
+  then invalidate t;
   inst.cell <- cell
 
 let rewire_pin t ~inst ~pin net =
+  invalidate t;
   let instance = Vec.get t.insts inst in
   let old_net = instance.fanins.(pin) in
   let old = Vec.get t.nets old_net in
@@ -202,21 +228,26 @@ let comb_csr t =
   in
   Gap_util.Digraph.Csr.of_edge_iter ~n:(num_instances t) iter
 
+(* A cyclic graph is never cached: every call rebuilds it and reports the
+   witness again. *)
+let comb_order t =
+  match t.topo with
+  | Some order -> Ok order
+  | None -> (
+      if Gap_obs.Obs.enabled () then Gap_obs.Obs.incr "netlist.topo.builds";
+      let csr = comb_csr t in
+      match Gap_util.Digraph.Csr.topo_order csr with
+      | Some order ->
+          t.topo <- Some order;
+          Ok order
+      | None ->
+          Error (match Gap_util.Digraph.Csr.find_cycle csr with Some c -> c | None -> []))
+
 let combinational_cycle t =
-  let csr = comb_csr t in
-  match Gap_util.Digraph.Csr.topo_order csr with
-  | Some _ -> None
-  | None -> Gap_util.Digraph.Csr.find_cycle csr
+  match comb_order t with Ok _ -> None | Error cycle -> Some cycle
 
 let topo_instances t =
-  let csr = comb_csr t in
-  match Gap_util.Digraph.Csr.topo_order csr with
-  | Some order -> order
-  | None ->
-      let cycle =
-        match Gap_util.Digraph.Csr.find_cycle csr with Some c -> c | None -> []
-      in
-      raise (Combinational_cycle cycle)
+  match comb_order t with Ok order -> order | Error cycle -> raise (Combinational_cycle cycle)
 
 let pp_stats ppf t =
   Format.fprintf ppf "%s: %d instances (%d flops), %d nets, %d in, %d out, %.0f um2"

@@ -144,7 +144,16 @@ val topo_instances : t -> int array
 (** Combinational-topological order: an instance appears after the drivers of
     all its inputs, except that flop outputs are treated as sources (cycles
     through registers are fine; purely combinational cycles raise
-    {!Combinational_cycle} carrying the offending instance path). *)
+    {!Combinational_cycle} carrying the offending instance path).
+
+    The order is built once per structural version of the netlist and then
+    shared: the returned array is the netlist's own, and callers must not
+    mutate it. {!add_cell}, {!rewire_pin}, {!insert_on_sinks},
+    {!unsafe_set_fanins}, {!unsafe_set_driver} and a {!replace_cell} that
+    swaps a flop for a combinational cell (or back) drop it; resizing,
+    parasitics and placement keep it. A cyclic graph is never cached, so
+    every call on it raises again. The cache makes a netlist owned by one
+    domain: do not read or mutate one netlist from two domains at once. *)
 
 val combinational_cycle : t -> int list option
 (** The witness cycle {!topo_instances} would raise with, or [None] when the

@@ -1,4 +1,5 @@
 module Cell = Gap_liberty.Cell
+module Obs = Gap_obs.Obs
 
 type report = {
   dynamic_mw : float;
@@ -20,7 +21,7 @@ let counts ~vectors ~seed nl =
   for _ = 1 to vectors do
     let ins = Array.init n_in (fun _ -> Gap_util.Rng.bool rng) in
     let values = Sim.net_values nl !state ins in
-    state := Sim.advance nl !state ins;
+    state := Sim.latch nl !state values;
     (match !prev with
     | Some old ->
         Array.iteri
@@ -34,10 +35,11 @@ let counts ~vectors ~seed nl =
   (toggles, highs)
 
 let activities ?(vectors = 500) ?(seed = 31L) nl =
-  let toggles, _ = counts ~vectors ~seed nl in
-  Array.map (fun t -> float_of_int t /. float_of_int (max 1 (vectors - 1))) toggles
+  Obs.span "power.estimate" (fun () ->
+      let toggles, _ = counts ~vectors ~seed nl in
+      Array.map (fun t -> float_of_int t /. float_of_int (max 1 (vectors - 1))) toggles)
 
-let estimate ?(vectors = 500) ?(seed = 31L) nl ~freq_mhz =
+let estimate_body ~vectors ~seed nl ~freq_mhz =
   let toggles, highs = counts ~vectors ~seed nl in
   let cycles = float_of_int (max 1 (vectors - 1)) in
   let vdd = (Gap_liberty.Library.tech (Netlist.lib nl)).Gap_tech.Tech.vdd_v in
@@ -75,6 +77,9 @@ let estimate ?(vectors = 500) ?(seed = 31L) nl ~freq_mhz =
     mean_activity = (if !driven = 0 then 0. else !activity_sum /. float_of_int !driven);
     vectors;
   }
+
+let estimate ?(vectors = 500) ?(seed = 31L) nl ~freq_mhz =
+  Obs.span "power.estimate" (fun () -> estimate_body ~vectors ~seed nl ~freq_mhz)
 
 let pp_report ppf r =
   Format.fprintf ppf

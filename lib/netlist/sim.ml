@@ -14,44 +14,34 @@ let net_values t st ins =
     | Netlist.From_cell i when Netlist.is_flop t i -> values.(n) <- st.(i)
     | Netlist.From_cell _ | Netlist.Undriven -> ()
   done;
-  let order = Netlist.topo_instances t in
   Array.iter
     (fun i ->
       if not (Netlist.is_flop t i) then begin
-        let cell = Netlist.cell_of t i in
-        let fanins = Netlist.fanins_of t i in
         let minterm = ref 0 in
-        Array.iteri (fun pin net -> if values.(net) then minterm := !minterm lor (1 lsl pin)) fanins;
+        for pin = 0 to Netlist.num_fanins t i - 1 do
+          if values.(Netlist.fanin t i pin) then minterm := !minterm lor (1 lsl pin)
+        done;
         values.(Netlist.out_net t i) <-
-          Gap_logic.Truthtable.eval cell.Gap_liberty.Cell.func !minterm
+          Gap_logic.Truthtable.eval (Netlist.cell_of t i).Gap_liberty.Cell.func !minterm
       end)
-    order;
+    (Netlist.topo_instances t);
   values
 
-let eval t st ins =
-  let values = net_values t st ins in
+let outputs t values =
   Array.init (Netlist.num_outputs t) (fun port -> values.(Netlist.output_net t port))
+
+let latch t st values =
+  let st' = Array.copy st in
+  for i = 0 to Netlist.num_instances t - 1 do
+    if Netlist.is_flop t i then st'.(i) <- values.(Netlist.fanin t i 0)
+  done;
+  st'
+
+let eval t st ins = outputs t (net_values t st ins)
 
 let step t st ins =
   let values = net_values t st ins in
-  let outs = Array.init (Netlist.num_outputs t) (fun port -> values.(Netlist.output_net t port)) in
-  let st' = Array.copy st in
-  List.iter
-    (fun i ->
-      let d_net = (Netlist.fanins_of t i).(0) in
-      st'.(i) <- values.(d_net))
-    (Netlist.flops t);
-  (outs, st')
-
-let advance t st ins =
-  let values = net_values t st ins in
-  let st' = Array.copy st in
-  List.iter
-    (fun i ->
-      let d_net = (Netlist.fanins_of t i).(0) in
-      st'.(i) <- values.(d_net))
-    (Netlist.flops t);
-  st'
+  (outputs t values, latch t st values)
 
 let run t input_seq =
   let rec loop st acc = function

@@ -27,9 +27,11 @@ val run : Netlist.t -> bool array list -> bool array list
 (** Multi-cycle simulation from the initial state. *)
 
 val net_values : Netlist.t -> state -> bool array -> bool array
-(** All net values for one combinational evaluation (exposed for tests and
-    for the domino converter's monotonicity checks). *)
+(** All net values for one combinational evaluation (exposed for tests, for
+    the domino converter's monotonicity checks, and for activity-based
+    power estimation, which reads every net's value each cycle). *)
 
-val advance : Netlist.t -> state -> bool array -> state
-(** The flop state after one active edge with the given inputs (the state
-    half of {!step}); used by activity-based power estimation. *)
+val latch : Netlist.t -> state -> bool array -> state
+(** [latch t st values] is the flop state after the active edge, given the
+    {!net_values} of the cycle: every flop takes the value of its D net.
+    {!step} is {!net_values} followed by [latch]. *)

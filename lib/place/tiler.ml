@@ -32,9 +32,7 @@ let slice_of_instances nl =
     let s = net_slice.(onet) in
     if s <> max_int then begin
       slice.(inst) <- s;
-      Array.iter
-        (fun fnet -> net_slice.(fnet) <- min net_slice.(fnet) s)
-        (Netlist.fanins_of nl inst)
+      Netlist.iter_fanins nl inst (fun fnet -> net_slice.(fnet) <- min net_slice.(fnet) s)
     end
   done;
   (* flops too (not in topo order) *)
@@ -43,7 +41,7 @@ let slice_of_instances nl =
       let s = net_slice.(Netlist.out_net nl f) in
       if s <> max_int then begin
         slice.(f) <- s;
-        let d = (Netlist.fanins_of nl f).(0) in
+        let d = Netlist.fanin nl f 0 in
         net_slice.(d) <- min net_slice.(d) s
       end)
     (Netlist.flops nl);
@@ -57,9 +55,9 @@ let place nl =
   let net_level = Array.make (max 1 (Netlist.num_nets nl)) 0 in
   Array.iter
     (fun inst ->
-      let l =
-        Array.fold_left (fun acc net -> max acc net_level.(net)) 0 (Netlist.fanins_of nl inst)
-      in
+      let l = ref 0 in
+      Netlist.iter_fanins nl inst (fun net -> l := max !l net_level.(net));
+      let l = !l in
       level.(inst) <- l;
       net_level.(Netlist.out_net nl inst) <- l + 1)
     (Netlist.topo_instances nl);

@@ -74,8 +74,9 @@ let stage_delays_of_pipeline nl ~config =
     Array.iter
       (fun i ->
         if not (Netlist.is_flop nl i) then begin
-          let fanins = Netlist.fanins_of nl i in
-          let r = Array.fold_left (fun acc net -> max acc rank.(net)) 0 fanins in
+          let r = ref 0 in
+          Netlist.iter_fanins nl i (fun net -> r := max !r rank.(net));
+          let r = !r in
           let onet = Netlist.out_net nl i in
           if rank.(onet) <> r then begin
             rank.(onet) <- r;
@@ -85,7 +86,7 @@ let stage_delays_of_pipeline nl ~config =
       order;
     List.iter
       (fun f ->
-        let d_net = (Netlist.fanins_of nl f).(0) in
+        let d_net = Netlist.fanin nl f 0 in
         let stage = rank.(d_net) in
         (match Hashtbl.find_opt flop_stage f with
         | Some s when s = stage -> ()
@@ -112,7 +113,7 @@ let stage_delays_of_pipeline nl ~config =
       let setup =
         match Cell.seq_timing cell with Some s -> s.Cell.setup_ps | None -> 0.
       in
-      let d_net = (Netlist.fanins_of nl f).(0) in
+      let d_net = Netlist.fanin nl f 0 in
       let d = sta.Sta.arrival.(d_net) +. setup in
       if d > delays.(stage) then delays.(stage) <- d)
     flop_stage;

@@ -40,11 +40,9 @@ let analyze ?(skew_ps = 0.) ?(input_min_arrival_ps = infinity) nl =
         let cell = Netlist.cell_of nl i in
         (* fast corner: unloaded intrinsic delay *)
         let d = cell.Cell.intrinsic_ps in
-        let earliest =
-          Array.fold_left
-            (fun acc net -> Float.min acc min_arrival.(net))
-            infinity (Netlist.fanins_of nl i)
-        in
+        let earliest = ref infinity in
+        Netlist.iter_fanins nl i (fun net -> earliest := Float.min !earliest min_arrival.(net));
+        let earliest = !earliest in
         let onet = Netlist.out_net nl i in
         if earliest +. d < min_arrival.(onet) then min_arrival.(onet) <- earliest +. d
       end)
@@ -59,7 +57,7 @@ let analyze ?(skew_ps = 0.) ?(input_min_arrival_ps = infinity) nl =
       | None -> ()
       | Some seq ->
           incr checked;
-          let d_net = (Netlist.fanins_of nl f).(0) in
+          let d_net = Netlist.fanin nl f 0 in
           let arrival = min_arrival.(d_net) in
           if arrival < infinity then begin
             let required = seq.Cell.hold_ps +. skew_ps in

@@ -100,20 +100,32 @@ type stage_slack = {
   endpoints : int;
 }
 
-(* Setup requirement of a flop endpoint: data must arrive [setup + skew]
-   before the capturing edge. *)
-let endpoint_margin (cfg : config) cell =
-  match Cell.seq_timing cell with
-  | Some seq -> seq.Cell.setup_ps +. cfg.clock_skew_ps
-  | None -> 0.
+(* An endpoint is named by an int: a flop's D pin by the flop's id, primary
+   output [port] by [-1 - port]. *)
+let endpoint_net nl ep = if ep >= 0 then Netlist.fanin nl ep 0 else Netlist.output_net nl (-1 - ep)
+
+(* Setup requirement of an endpoint: data must arrive [setup + skew] before
+   the capturing edge at a flop D pin; output ports need no margin. *)
+let endpoint_margin (cfg : config) nl ep =
+  if ep < 0 then 0.
+  else
+    match Cell.seq_timing (Netlist.cell_of nl ep) with
+    | Some seq -> seq.Cell.setup_ps +. cfg.clock_skew_ps
+    | None -> 0.
+
+let endpoint_name nl ep =
+  if ep >= 0 then Printf.sprintf "u%d/D (%s)" ep (Netlist.cell_of nl ep).Cell.name
+  else Printf.sprintf "out %s" (Netlist.output_name nl (-1 - ep))
 
 let analyze_body cfg nl =
   let nnets = Netlist.num_nets nl in
   let visited = ref 0 and edges = ref 0 in
   let arrival = Array.make (max 1 nnets) neg_infinity in
   (* predecessor for path tracing: the instance whose output set this net's
-     arrival, and the fanin net through which the worst path came *)
-  let pred = Array.make (max 1 nnets) None in
+     arrival (-1: a launch point), and the fanin net through which the worst
+     path came (-1: the instance has no fanins) *)
+  let pred_inst = Array.make (max 1 nnets) (-1) in
+  let pred_net = Array.make (max 1 nnets) (-1) in
   (* Sources. *)
   for n = 0 to nnets - 1 do
     match Netlist.driver_of nl n with
@@ -141,61 +153,62 @@ let analyze_body cfg nl =
         let load = Netlist.net_load_ff nl onet in
         let d = cfg.derate *. Cell.delay_ps cell ~load_ff:load in
         inst_delay.(i) <- d;
+        (* indexed loops keep these refs and [r] below unboxed *)
         let worst = ref neg_infinity and worst_net = ref (-1) in
-        Netlist.iter_fanins nl i (fun fnet ->
-            incr edges;
-            if arrival.(fnet) > !worst then begin
-              worst := arrival.(fnet);
-              worst_net := fnet
-            end);
+        for k = 0 to Netlist.num_fanins nl i - 1 do
+          let fnet = Netlist.fanin nl i k in
+          incr edges;
+          if arrival.(fnet) > !worst then begin
+            worst := arrival.(fnet);
+            worst_net := fnet
+          end
+        done;
         let base = if !worst = neg_infinity then 0. else !worst in
         let a = base +. d +. Netlist.wire_delay_ps nl onet in
         if a > arrival.(onet) then begin
           arrival.(onet) <- a;
-          pred.(onet) <- (if !worst_net >= 0 then Some (i, !worst_net) else Some (i, -1))
+          pred_inst.(onet) <- i;
+          pred_net.(onet) <- !worst_net
         end
       end)
     order;
-  Array.iteri (fun n a -> if a = neg_infinity then arrival.(n) <- 0.) arrival;
-  (* Endpoints: required margin against the clock period. *)
-  let endpoints = ref [] in
-  (* flop D pins *)
-  List.iter
-    (fun i ->
-      let cell = Netlist.cell_of nl i in
-      let d_net = Netlist.fanin nl i 0 in
-      let margin = endpoint_margin cfg cell in
-      endpoints :=
-        (d_net, margin, Printf.sprintf "u%d/D (%s)" i cell.Cell.name) :: !endpoints)
-    (Netlist.flops nl);
-  for port = 0 to Netlist.num_outputs nl - 1 do
-    endpoints :=
-      (Netlist.output_net nl port, 0., Printf.sprintf "out %s" (Netlist.output_name nl port))
-      :: !endpoints
+  for n = 0 to Array.length arrival - 1 do
+    if arrival.(n) = neg_infinity then arrival.(n) <- 0.
   done;
+  (* Endpoints, latest-declared first (output ports, then flop D pins):
+     the first endpoint reaching the largest requirement is the worst. *)
+  let endpoints = ref (List.rev (Netlist.flops nl)) in
+  for port = 0 to Netlist.num_outputs nl - 1 do
+    endpoints := (-1 - port) :: !endpoints
+  done;
+  let endpoints = !endpoints in
   let min_period = ref 0. in
   let worst_endpoint = ref None in
   List.iter
-    (fun (net, margin, ep_name) ->
-      let need = arrival.(net) +. margin in
+    (fun ep ->
+      let need = arrival.(endpoint_net nl ep) +. endpoint_margin cfg nl ep in
       if need > !min_period then begin
         min_period := need;
-        worst_endpoint := Some (net, margin, ep_name)
+        worst_endpoint := Some ep
       end)
-    !endpoints;
+    endpoints;
   let period = match cfg.clock_period_ps with Some p -> p | None -> !min_period in
   (* Backward required-time pass. *)
   let required = Array.make (max 1 nnets) infinity in
   List.iter
-    (fun (net, margin, _) -> required.(net) <- Float.min required.(net) (period -. margin))
-    !endpoints;
+    (fun ep ->
+      let net = endpoint_net nl ep in
+      required.(net) <- Float.min required.(net) (period -. endpoint_margin cfg nl ep))
+    endpoints;
   for k = Array.length order - 1 downto 0 do
     let i = order.(k) in
     if not (Netlist.is_flop nl i) then begin
       let onet = Netlist.out_net nl i in
       let r = required.(onet) -. inst_delay.(i) -. Netlist.wire_delay_ps nl onet in
-      Netlist.iter_fanins nl i (fun fnet ->
-          required.(fnet) <- Float.min required.(fnet) r)
+      for k = 0 to Netlist.num_fanins nl i - 1 do
+        let fnet = Netlist.fanin nl i k in
+        required.(fnet) <- Float.min required.(fnet) r
+      done
     end
   done;
   (* Critical path trace from the worst endpoint. *)
@@ -203,43 +216,50 @@ let analyze_body cfg nl =
     match !worst_endpoint with
     | None ->
         { steps = []; endpoint = "(no endpoints)"; required_ps = period; slack_ps = 0. }
-    | Some (net, margin, ep_name) ->
+    | Some ep ->
         let rec trace net acc =
           let step_of ~what ~inst ~incr =
             { what; inst; net; arrival_ps = arrival.(net); incr_ps = incr }
           in
-          match pred.(net) with
-          | Some (i, from_net) when from_net >= 0 ->
-              let cell = Netlist.cell_of nl i in
-              let incr = arrival.(net) -. arrival.(from_net) in
-              trace from_net (step_of ~what:(Printf.sprintf "u%d:%s" i cell.Cell.name) ~inst:(Some i) ~incr :: acc)
-          | Some (i, _) ->
-              let cell = Netlist.cell_of nl i in
-              step_of ~what:(Printf.sprintf "u%d:%s" i cell.Cell.name) ~inst:(Some i) ~incr:arrival.(net) :: acc
-          | None ->
-              let what =
-                match Netlist.driver_of nl net with
-                | Netlist.From_input port -> Printf.sprintf "in %s" (Netlist.input_name nl port)
-                | Netlist.From_cell i -> Printf.sprintf "u%d/Q" i
-                | Netlist.From_const _ -> "const"
-                | Netlist.Undriven -> "undriven"
-              in
-              step_of ~what ~inst:None ~incr:arrival.(net) :: acc
+          let i = pred_inst.(net) and from_net = pred_net.(net) in
+          if i >= 0 then begin
+            let what = Printf.sprintf "u%d:%s" i (Netlist.cell_of nl i).Cell.name in
+            if from_net >= 0 then
+              trace from_net
+                (step_of ~what ~inst:(Some i) ~incr:(arrival.(net) -. arrival.(from_net)) :: acc)
+            else step_of ~what ~inst:(Some i) ~incr:arrival.(net) :: acc
+          end
+          else
+            let what =
+              match Netlist.driver_of nl net with
+              | Netlist.From_input port -> Printf.sprintf "in %s" (Netlist.input_name nl port)
+              | Netlist.From_cell i -> Printf.sprintf "u%d/Q" i
+              | Netlist.From_const _ -> "const"
+              | Netlist.Undriven -> "undriven"
+            in
+            step_of ~what ~inst:None ~incr:arrival.(net) :: acc
         in
+        let net = endpoint_net nl ep in
         let steps = trace net [] in
-        let required_ps = period -. margin in
-        { steps; endpoint = ep_name; required_ps; slack_ps = required_ps -. arrival.(net) }
+        let required_ps = period -. endpoint_margin cfg nl ep in
+        {
+          steps;
+          endpoint = endpoint_name nl ep;
+          required_ps;
+          slack_ps = required_ps -. arrival.(net);
+        }
   in
+  let endpoint_count = List.length endpoints in
   if Obs.enabled () then begin
     Obs.annotate
       [
         ("nets", Gap_obs.Json.Int nnets);
         ("instances", Gap_obs.Json.Int (Netlist.num_instances nl));
-        ("endpoints", Gap_obs.Json.Int (List.length !endpoints));
+        ("endpoints", Gap_obs.Json.Int endpoint_count);
       ];
     Obs.incr ~by:!visited "sta.visited_instances";
     Obs.incr ~by:!edges "sta.fanin_edges";
-    Obs.incr ~by:(List.length !endpoints) "sta.endpoints";
+    Obs.incr ~by:endpoint_count "sta.endpoints";
     (* stage-resolved slack: logic depth of the worst path into each
        endpoint, walking the predecessor chain (it stops at launch points —
        inputs, constants, flop Q pins — so the count is gates per pipeline
@@ -249,10 +269,9 @@ let analyze_body cfg nl =
       if depth_memo.(net) >= 0 then depth_memo.(net)
       else begin
         let d =
-          match pred.(net) with
-          | Some (_, from_net) when from_net >= 0 -> 1 + logic_depth from_net
-          | Some (_, _) -> 1
-          | None -> 0
+          if pred_inst.(net) < 0 then 0
+          else if pred_net.(net) >= 0 then 1 + logic_depth pred_net.(net)
+          else 1
         in
         depth_memo.(net) <- d;
         d
@@ -263,8 +282,9 @@ let analyze_body cfg nl =
        make timing" instead of one whole-design histogram *)
     let stage_of = reg_depths nl in
     List.iter
-      (fun (net, margin, _) ->
-        let slack = period -. margin -. arrival.(net) in
+      (fun ep ->
+        let net = endpoint_net nl ep in
+        let slack = period -. endpoint_margin cfg nl ep -. arrival.(net) in
         Obs.observe ~bounds:slack_bounds_ps "sta.endpoint_slack_ps" slack;
         Obs.observe ~bounds:slack_bounds_ps
           ("sta.slack_by_depth." ^ depth_bucket (logic_depth net))
@@ -272,7 +292,7 @@ let analyze_body cfg nl =
         Obs.observe ~bounds:slack_bounds_ps
           ("sta.slack_by_stage." ^ stage_label (1 + stage_of net))
           slack)
-      !endpoints
+      endpoints
   end;
   {
     netlist_name = Netlist.name nl;
@@ -281,7 +301,7 @@ let analyze_body cfg nl =
     min_period_ps = !min_period;
     period_ps = period;
     critical;
-    endpoint_count = List.length !endpoints;
+    endpoint_count;
     clock_skew_ps = cfg.clock_skew_ps;
   }
 

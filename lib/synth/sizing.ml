@@ -15,15 +15,13 @@ let move_gain nl inst (old_c : Cell.t) (new_c : Cell.t) =
   let d_self = Cell.delay_ps new_c ~load_ff:load -. Cell.delay_ps old_c ~load_ff:load in
   let d_cin = new_c.input_cap_ff -. old_c.input_cap_ff in
   let worst_upstream = ref 0. in
-  Array.iter
-    (fun fnet ->
+  Netlist.iter_fanins nl inst (fun fnet ->
       match Netlist.driver_of nl fnet with
       | Netlist.From_cell d ->
           let dc = Netlist.cell_of nl d in
           let slow = dc.Cell.drive_res_kohm *. d_cin in
           if slow > !worst_upstream then worst_upstream := slow
-      | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ())
-    (Netlist.fanins_of nl inst);
+      | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ());
   d_self +. !worst_upstream
 
 let tilos ?(config = Sta.default_config) ?max_moves nl =

@@ -170,6 +170,133 @@ let test_const_nets () =
   Alcotest.(check bool) "a & 1 = a (true)" true (Sim.eval nl st [| true |]).(0);
   Alcotest.(check bool) "a & 1 = a (false)" false (Sim.eval nl st [| false |]).(0)
 
+(* --- the memoised topological order --- *)
+
+let comb_cells =
+  lazy
+    (Array.of_list
+       (List.filter
+          (fun c -> (not (Cell.is_sequential c)) && c.Cell.n_inputs <= 3)
+          (Array.to_list (Library.cells (Lazy.force lib)))))
+
+(* A random rich-library netlist over four inputs: every combinational cell
+   reads nets built before it, and every flop's D pin then moves to a random
+   net, often one built after it, so register feedback loops are common while
+   the combinational graph stays acyclic. *)
+let random_sequential ?(gates = 24) seed =
+  let rng = Gap_util.Rng.create ~seed:(Int64.of_int seed) () in
+  let lib = Lazy.force lib in
+  let nl = Netlist.create ~lib (Printf.sprintf "random%d" seed) in
+  for k = 0 to 3 do
+    ignore (Netlist.add_input nl (Printf.sprintf "i%d" k))
+  done;
+  let pick_net () = Gap_util.Rng.int rng (Netlist.num_nets nl) in
+  let flops = ref [] in
+  for _ = 1 to gates do
+    if Gap_util.Rng.int rng 5 = 0 then
+      flops := Netlist.add_cell nl (Library.smallest_flop lib) [| pick_net () |] :: !flops
+    else begin
+      let c = Gap_util.Rng.choose rng (Lazy.force comb_cells) in
+      ignore (Netlist.add_cell nl c (Array.init c.Cell.n_inputs (fun _ -> pick_net ())))
+    end
+  done;
+  List.iter (fun f -> Netlist.rewire_pin nl ~inst:f ~pin:0 (pick_net ())) !flops;
+  for k = 0 to 2 do
+    ignore (Netlist.set_output nl (Printf.sprintf "o%d" k) (pick_net ()))
+  done;
+  nl
+
+(* The combinational order computed from scratch: the instance graph rebuilt
+   from the public accessors and sorted by the list-based Kahn reference;
+   [None] when it has a cycle. *)
+let reference_topo nl =
+  let g = Gap_util.Digraph.create () in
+  Gap_util.Digraph.add_nodes g (Netlist.num_instances nl);
+  for i = 0 to Netlist.num_instances nl - 1 do
+    for k = 0 to Netlist.num_fanins nl i - 1 do
+      match Netlist.driver_of nl (Netlist.fanin nl i k) with
+      | Netlist.From_cell d when not (Netlist.is_flop nl d) -> Gap_util.Digraph.add_edge g d i
+      | Netlist.From_cell _ | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ()
+    done
+  done;
+  Gap_util.Digraph.topo_order_ref g
+
+let topo_agrees nl =
+  match (reference_topo nl, Netlist.topo_instances nl) with
+  | Some want, got -> want = got
+  | None, _ -> false
+  | exception Netlist.Combinational_cycle _ ->
+      Option.is_none (reference_topo nl) && Option.is_some (Netlist.combinational_cycle nl)
+
+(* One structural mutation, its operands reduced into range. *)
+let mutate nl (kind, x, y) =
+  let lib = Lazy.force lib in
+  let n = Netlist.num_instances nl and nets = Netlist.num_nets nl in
+  let inst = x mod n in
+  match kind with
+  | 0 ->
+      let cells = Lazy.force comb_cells in
+      let c = cells.(x mod Array.length cells) in
+      ignore (Netlist.add_cell nl c (Array.init c.Cell.n_inputs (fun k -> (y + (7 * k)) mod nets)))
+  | 1 ->
+      let pins = Netlist.num_fanins nl inst in
+      if pins > 0 then Netlist.rewire_pin nl ~inst ~pin:(y mod pins) (y / 3 mod nets)
+  | 2 ->
+      let net = x mod nets in
+      let sinks = List.filteri (fun k _ -> k mod 2 = y mod 2) (Netlist.sinks_of nl net) in
+      ignore (Netlist.insert_on_sinks nl (List.hd (Library.buffers lib)) ~net ~sinks)
+  | 3 ->
+      Netlist.unsafe_set_fanins nl inst
+        (Array.init (Netlist.num_fanins nl inst) (fun k -> (y + (3 * k)) mod nets))
+  | 4 ->
+      Netlist.unsafe_set_driver nl (x mod nets)
+        (if y mod 3 = 0 then Netlist.Undriven else Netlist.From_cell (y mod n))
+  | _ ->
+      (* flop <-> one-input combinational cell, or a resize that keeps it *)
+      if Netlist.num_fanins nl inst = 1 then
+        let c = Netlist.cell_of nl inst in
+        Netlist.replace_cell nl inst
+          (if Netlist.is_flop nl inst then Library.smallest_inverter lib
+           else if y mod 3 = 0 then
+             Option.value ~default:c (Library.next_drive_up lib c)
+           else Library.smallest_flop lib)
+
+let topo_memo_follows_mutations =
+  QCheck.Test.make ~name:"topo memo = fresh order after every mutation" ~count:200
+    QCheck.(
+      pair (int_bound 10_000)
+        (list_of_size Gen.(int_range 1 30)
+           (triple (int_bound 5) (int_bound 1_000) (int_bound 1_000))))
+    (fun (seed, ops) ->
+      let nl = random_sequential ~gates:12 seed in
+      topo_agrees nl
+      && List.for_all
+           (fun op ->
+             mutate nl op;
+             topo_agrees nl)
+           ops)
+
+let test_topo_cycle_after_cache () =
+  (* in -> u0 -> u1 -> out; u0's input moves onto u1's output *)
+  let nl = Netlist.create ~lib:(Lazy.force lib) "loop" in
+  let a = Netlist.add_input nl "a" in
+  let u0 = Netlist.add_cell nl (cell "INV" 1.) [| a |] in
+  let u1 = Netlist.add_cell nl (cell "INV" 1.) [| Netlist.out_net nl u0 |] in
+  ignore (Netlist.set_output nl "y" (Netlist.out_net nl u1));
+  Alcotest.(check (array int)) "cached order" [| u0; u1 |] (Netlist.topo_instances nl);
+  Netlist.rewire_pin nl ~inst:u0 ~pin:0 (Netlist.out_net nl u1);
+  for _ = 1 to 2 do
+    match Netlist.topo_instances nl with
+    | _ -> Alcotest.fail "a combinational loop was sorted"
+    | exception Netlist.Combinational_cycle cycle ->
+        Alcotest.(check (list int)) "witness" [ u0; u1 ] (List.sort Int.compare cycle)
+  done;
+  Alcotest.(check bool) "check sees the loop" true
+    (Option.is_some (Netlist.combinational_cycle nl));
+  (* a flop on the loop cuts it *)
+  Netlist.replace_cell nl u1 (Library.smallest_flop (Lazy.force lib));
+  Alcotest.(check (array int)) "flop breaks the loop" [| u0; u1 |] (Netlist.topo_instances nl)
+
 let suite =
   [
     ("structure accessors", `Quick, test_structure);
@@ -185,4 +312,6 @@ let suite =
     ("area and parasitics", `Quick, test_area_and_parasitics);
     ("placement roundtrip", `Quick, test_placement_roundtrip);
     ("constant nets", `Quick, test_const_nets);
+    QCheck_alcotest.to_alcotest topo_memo_follows_mutations;
+    ("topo: loop closed after caching", `Quick, test_topo_cycle_after_cache);
   ]

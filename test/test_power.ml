@@ -7,6 +7,7 @@ module Netlist = Gap_netlist.Netlist
 module Library = Gap_liberty.Library
 module Libgen = Gap_liberty.Libgen
 module Cell = Gap_liberty.Cell
+module Sim = Gap_netlist.Sim
 
 let tech = Gap_tech.Tech.asic_025um
 let lib = lazy (Libgen.make tech Libgen.rich)
@@ -97,6 +98,76 @@ let test_sequential_activity () =
   let r = Power_est.estimate ~vectors:100 nl ~freq_mhz:300. in
   Alcotest.(check bool) "sequential estimate positive" true (r.Power_est.total_mw > 0.)
 
+(* The estimate as it stood when every vector was simulated twice: once for
+   the cycle's net values, and again inside [Sim.step] for the next flop
+   state. *)
+let estimate_ref ~vectors ~seed nl ~freq_mhz =
+  let rng = Gap_util.Rng.create ~seed () in
+  let n_nets = Netlist.num_nets nl in
+  let toggles = Array.make (max 1 n_nets) 0 and highs = Array.make (max 1 n_nets) 0 in
+  let state = ref (Sim.initial nl) and prev = ref None in
+  for _ = 1 to vectors do
+    let ins = Array.init (Netlist.num_inputs nl) (fun _ -> Gap_util.Rng.bool rng) in
+    let values = Sim.net_values nl !state ins in
+    state := snd (Sim.step nl !state ins);
+    Array.iteri
+      (fun net v ->
+        (match !prev with
+        | Some old when v <> old.(net) -> toggles.(net) <- toggles.(net) + 1
+        | Some _ | None -> ());
+        if v then highs.(net) <- highs.(net) + 1)
+      values;
+    prev := Some values
+  done;
+  let cycles = float_of_int (max 1 (vectors - 1)) in
+  let vdd = (Library.tech (Netlist.lib nl)).Gap_tech.Tech.vdd_v in
+  let dynamic = ref 0. and activity = ref 0. and driven = ref 0 and leakage = ref 0. in
+  for inst = 0 to Netlist.num_instances nl - 1 do
+    let c = Netlist.cell_of nl inst in
+    let onet = Netlist.out_net nl inst in
+    let load_ff = Netlist.net_load_ff nl onet in
+    let energy =
+      match c.Cell.family with
+      | Cell.Domino ->
+          let p_one = float_of_int highs.(onet) /. float_of_int vectors in
+          p_one *. Power.domino_cycle_energy_fj c ~vdd_v:vdd ~load_ff
+      | Cell.Static_cmos ->
+          let rate = float_of_int toggles.(onet) /. cycles in
+          activity := !activity +. rate;
+          incr driven;
+          rate *. Power.switching_energy_fj c ~vdd_v:vdd ~load_ff
+    in
+    dynamic := !dynamic +. energy
+  done;
+  for inst = 0 to Netlist.num_instances nl - 1 do
+    leakage := !leakage +. Power.leakage_nw (Netlist.cell_of nl inst)
+  done;
+  let dynamic_mw = !dynamic *. freq_mhz *. 1e-6 and leakage_mw = !leakage *. 1e-6 in
+  {
+    Power_est.dynamic_mw;
+    leakage_mw;
+    total_mw = dynamic_mw +. leakage_mw;
+    mean_activity = (if !driven = 0 then 0. else !activity /. float_of_int !driven);
+    vectors;
+  }
+
+let estimate_matches_two_pass_reference =
+  QCheck.Test.make ~name:"estimate = two-evaluation reference" ~count:40
+    QCheck.(pair (int_bound 10_000) (int_range 2 60))
+    (fun (seed, vectors) ->
+      let sequential = Test_netlist.random_sequential seed in
+      let domino =
+        Gap_domino.Dualrail.map_aig ~domino_lib:(Lazy.force domino_lib)
+          (Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:5
+             ~outputs:2 ~gates:12 ())
+      in
+      List.for_all
+        (fun nl ->
+          let seed = Int64.of_int seed in
+          Power_est.estimate ~vectors ~seed nl ~freq_mhz:250.
+          = estimate_ref ~vectors ~seed nl ~freq_mhz:250.)
+        [ sequential; domino ])
+
 let suite =
   [
     ("switching energy scales", `Quick, test_switching_energy_scales);
@@ -109,4 +180,5 @@ let suite =
     ("domino costs more", `Quick, test_domino_costs_more);
     ("downsizing saves power", `Quick, test_downsizing_saves_power);
     ("sequential activity", `Quick, test_sequential_activity);
+    QCheck_alcotest.to_alcotest estimate_matches_two_pass_reference;
   ]

@@ -217,6 +217,111 @@ let test_report_renders () =
      let rec go i = i + n <= m && (String.sub table i n = sub || go (i + 1)) in
      go 0)
 
+(* --- the critical path and its endpoint name --- *)
+
+let whats (sta : Sta.t) = List.map (fun (s : Sta.step) -> s.Sta.what) sta.Sta.critical.Sta.steps
+
+let test_worst_endpoint_flop () =
+  (* in -> four inverters -> DFF -> q: the D pin needs the most time *)
+  let nl = inv_chain 4 in
+  let flop =
+    Netlist.add_cell nl (Library.smallest_flop (Lazy.force lib)) [| Netlist.output_net nl 0 |]
+  in
+  ignore (Netlist.set_output nl "q" (Netlist.out_net nl flop));
+  let sta = Sta.analyze nl in
+  Alcotest.(check string) "endpoint" "u4/D (DFF_X1)" sta.Sta.critical.Sta.endpoint;
+  Alcotest.(check (list string)) "path"
+    [ "in in"; "u0:INV_X1"; "u1:INV_X1"; "u2:INV_X1"; "u3:INV_X1" ]
+    (whats sta)
+
+let test_worst_endpoint_port () =
+  (* o0 = in, o1 = three inverters, o2 = one inverter; then o3 ties o1 *)
+  let nl = Netlist.create ~lib:(Lazy.force lib) "ports" in
+  let input = Netlist.add_input nl "in" in
+  let chain n =
+    let cur = ref input in
+    for _ = 1 to n do
+      cur := Netlist.out_net nl (Netlist.add_cell nl (cell "INV" 1.) [| !cur |])
+    done;
+    !cur
+  in
+  ignore (Netlist.set_output nl "o0" input);
+  ignore (Netlist.set_output nl "o1" (chain 3));
+  ignore (Netlist.set_output nl "o2" (chain 1));
+  let sta = Sta.analyze nl in
+  Alcotest.(check string) "endpoint" "out o1" sta.Sta.critical.Sta.endpoint;
+  Alcotest.(check (list string)) "path" [ "in in"; "u0:INV_X1"; "u1:INV_X1"; "u2:INV_X1" ]
+    (whats sta);
+  ignore (Netlist.set_output nl "o3" (chain 3));
+  let sta = Sta.analyze nl in
+  Alcotest.(check string) "a tie goes to the latest port" "out o3" sta.Sta.critical.Sta.endpoint;
+  Alcotest.(check (list string)) "its path" [ "in in"; "u4:INV_X1"; "u5:INV_X1"; "u6:INV_X1" ]
+    (whats sta)
+
+(* The worst endpoint and its path recomputed from the analysis' arrival
+   times: endpoints are scanned output ports first, from the last port, then
+   flop D pins from the last flop, and the first strictly largest
+   requirement wins; the path walks back through each instance's first
+   latest-arriving fanin to a launch point. *)
+let critical_ref nl (sta : Sta.t) =
+  let arrival = sta.Sta.arrival in
+  let n_out = Netlist.num_outputs nl in
+  let ports =
+    List.init n_out (fun k ->
+        let port = n_out - 1 - k in
+        (Netlist.output_net nl port, 0., Printf.sprintf "out %s" (Netlist.output_name nl port)))
+  in
+  let flop_pins =
+    List.rev_map
+      (fun f ->
+        let c = Netlist.cell_of nl f in
+        ( Netlist.fanin nl f 0,
+          (Option.get (Cell.seq_timing c)).Cell.setup_ps,
+          Printf.sprintf "u%d/D (%s)" f c.Cell.name ))
+      (Netlist.flops nl)
+  in
+  let worst, _ =
+    List.fold_left
+      (fun (best, need) ((net, margin, _) as ep) ->
+        if arrival.(net) +. margin > need then (Some ep, arrival.(net) +. margin)
+        else (best, need))
+      (None, 0.) (ports @ flop_pins)
+  in
+  let step what inst net incr =
+    { Sta.what; inst; net; arrival_ps = arrival.(net); incr_ps = incr }
+  in
+  let rec trace net acc =
+    match Netlist.driver_of nl net with
+    | Netlist.From_cell i when not (Netlist.is_flop nl i) ->
+        let what = Printf.sprintf "u%d:%s" i (Netlist.cell_of nl i).Cell.name in
+        let from = ref (-1) in
+        Netlist.iter_fanins nl i (fun f ->
+            if !from < 0 || arrival.(f) > arrival.(!from) then from := f);
+        if !from < 0 then step what (Some i) net arrival.(net) :: acc
+        else trace !from (step what (Some i) net (arrival.(net) -. arrival.(!from)) :: acc)
+    | d ->
+        let what =
+          match d with
+          | Netlist.From_input port -> "in " ^ Netlist.input_name nl port
+          | Netlist.From_cell i -> Printf.sprintf "u%d/Q" i
+          | Netlist.From_const _ -> "const"
+          | Netlist.Undriven -> "undriven"
+        in
+        step what None net arrival.(net) :: acc
+  in
+  Option.map (fun (net, _, name) -> (name, trace net [])) worst
+
+let critical_matches_reference =
+  QCheck.Test.make ~name:"critical path and endpoint = reference" ~count:200
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let nl = Test_netlist.random_sequential seed in
+      let sta = Sta.analyze nl in
+      match critical_ref nl sta with
+      | Some (endpoint, steps) ->
+          String.equal sta.Sta.critical.Sta.endpoint endpoint && sta.Sta.critical.Sta.steps = steps
+      | None -> String.equal sta.Sta.critical.Sta.endpoint "(no endpoints)")
+
 let suite =
   [
     ("inverter chain arrival", `Quick, test_inverter_chain_arrival);
@@ -234,4 +339,7 @@ let suite =
     ("hold: combinational clean", `Quick, test_hold_clean_combinational);
     ("hold: flop chain vs skew", `Quick, test_hold_flop_chain);
     ("hold: min arrival", `Quick, test_hold_min_arrival_is_min);
+    ("worst endpoint: flop D pin", `Quick, test_worst_endpoint_flop);
+    ("worst endpoint: output port", `Quick, test_worst_endpoint_port);
+    QCheck_alcotest.to_alcotest critical_matches_reference;
   ]

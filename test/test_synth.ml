@@ -88,25 +88,113 @@ let test_cut_function () =
         Alcotest.(check bool) "cut function" (bit 0 && bit 1 && not (bit 2)) (Tt.eval cut.tt m)
       done
 
+(* Node values of [g] under every primary-input pattern, 64 patterns per
+   word: [words.(w).(id)] bit [j] is node [id] under pattern [64 w + j]. *)
+let node_words g =
+  let n_in = Aig.num_inputs g in
+  assert (n_in >= 6 && n_in <= 16);
+  Array.init
+    (1 lsl (n_in - 6))
+    (fun w ->
+      let v = Array.make (Aig.num_nodes g) 0L in
+      let lit l = if Aig.is_compl l then Int64.lognot v.(Aig.id_of_lit l) else v.(Aig.id_of_lit l) in
+      for id = 0 to Aig.num_nodes g - 1 do
+        if Aig.is_and g id then begin
+          let a, b = Aig.fanins g id in
+          v.(id) <- Int64.logand (lit a) (lit b)
+        end
+        else
+          match Aig.input_index g id with
+          | Some i when i < 6 -> v.(id) <- Tt.bits (Tt.var ~vars:6 i)
+          | Some i -> v.(id) <- (if (w lsr (i - 6)) land 1 = 1 then -1L else 0L)
+          | None -> ()
+      done;
+      v)
+
+(* The leaf minterms of [cut] some primary-input pattern produces. A cut can
+   hold a leaf that lies in the cone of its other leaves; the minterms where
+   that leaf disagrees with its cone are unreachable, and there the table is
+   free to differ from the recursive reference. *)
+let reachable_minterms words (cut : Cuts.cut) =
+  let care = ref 0L in
+  Array.iter
+    (fun v ->
+      for j = 0 to 63 do
+        let m = ref 0 in
+        Array.iteri
+          (fun i leaf ->
+            if Int64.logand (Int64.shift_right_logical v.(leaf) j) 1L = 1L then
+              m := !m lor (1 lsl i))
+          cut.leaves;
+        care := Int64.logor !care (Int64.shift_left 1L !m)
+      done)
+    words;
+  !care
+
+(* Whether some leaf of [cut] lies in the cone of another leaf, i.e. is
+   itself a function of other leaves of the cut. *)
+let has_dependent_leaf g (cut : Cuts.cut) =
+  let seen = Hashtbl.create 16 in
+  let rec reaches_leaf id =
+    Aig.is_and g id
+    && (not (Hashtbl.mem seen id))
+    &&
+    (Hashtbl.add seen id ();
+     let a, b = Aig.fanins g id in
+     let below l =
+       let c = Aig.id_of_lit l in
+       Array.mem c cut.leaves || reaches_leaf c
+     in
+     below a || below b)
+  in
+  Array.exists
+    (fun leaf ->
+      Hashtbl.reset seen;
+      reaches_leaf leaf)
+    cut.leaves
+
+(* Cuts of random logic whose table differs from the recursive reference:
+   (cuts with independent leaves, cuts with a dependent leaf, cuts with a
+   dependent leaf that differ on a reachable minterm). Only the last two
+   may legitimately be non-zero, and only the second. *)
+let table_mismatches ~k seed =
+  let g =
+    Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:10 ~outputs:4
+      ~gates:50 ()
+  in
+  let words = node_words g in
+  let independent = ref 0 and dependent = ref 0 and reachable = ref 0 in
+  Array.iteri
+    (fun id cs ->
+      List.iter
+        (fun (c : Cuts.cut) ->
+          let reference = cut_function g id c in
+          if not (Tt.equal c.tt reference) then
+            if not (has_dependent_leaf g c) then incr independent
+            else begin
+              incr dependent;
+              let diff = Int64.logxor (Tt.bits c.tt) (Tt.bits reference) in
+              if not (Int64.equal (Int64.logand diff (reachable_minterms words c)) 0L) then
+                incr reachable
+            end)
+        cs)
+    (Cuts.enumerate ~k g);
+  (!independent, !dependent, !reachable)
+
 let cut_tables_match_reference =
   QCheck.Test.make ~name:"cuts: tables = recursive reference" ~count:40
     QCheck.(pair (int_range 0 10000) bool)
     (fun (seed, wide) ->
-      let k = if wide then 6 else 4 in
-      let g =
-        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:10
-          ~outputs:4 ~gates:50 ()
-      in
-      let cuts = Cuts.enumerate ~k g in
-      let ok = ref true in
-      Array.iteri
-        (fun id cs ->
-          List.iter
-            (fun (c : Cuts.cut) ->
-              if not (Tt.equal c.tt (cut_function g id c)) then ok := false)
-            cs)
-        cuts;
-      !ok)
+      let independent, _, reachable = table_mismatches ~k:(if wide then 6 else 4) seed in
+      independent = 0 && reachable = 0)
+
+(* Seed 5790 at k = 4 enumerates such a cut: {11, 12, 15, 24} at node 63,
+   where leaf 24 lies in the cone of {11, 12, 15}. *)
+let test_cut_with_dependent_leaf () =
+  let independent, dependent, reachable = table_mismatches ~k:4 5790 in
+  Alcotest.(check int) "cuts with independent leaves match exactly" 0 independent;
+  Alcotest.(check bool) "the seed has a dependent-leaf cut that differs" true (dependent > 0);
+  Alcotest.(check int) "tables agree on every reachable minterm" 0 reachable
 
 let test_cuts_k_bound () =
   let g = Gap_datapath.Adders.ripple_adder 8 in
@@ -367,6 +455,7 @@ let suite =
     ("cuts: inputs trivial", `Quick, test_cuts_trivial_inputs);
     ("cuts: cut function", `Quick, test_cut_function);
     QCheck_alcotest.to_alcotest cut_tables_match_reference;
+    ("cuts: table of a cut with a dependent leaf", `Quick, test_cut_with_dependent_leaf);
     ("cuts: k bound respected", `Quick, test_cuts_k_bound);
     ("balance: chain to log depth", `Quick, test_balance_chain_depth);
     QCheck_alcotest.to_alcotest balance_preserves_function;
