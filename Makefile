@@ -1,4 +1,4 @@
-.PHONY: build test check faults chaos sweep report bench-diff serve-bench e11 verify repro bench bench-kernels metrics clean
+.PHONY: build test check faults chaos sweep report profile bench-diff serve-bench e11 verify repro bench bench-kernels metrics clean
 
 build:
 	dune build
@@ -52,6 +52,14 @@ report:
 	dune exec bin/repro.exe -- validate-json BENCH_report.json
 	dune exec bin/repro.exe -- export-trace BENCH_trace.jsonl -o BENCH_trace.chrome.json
 	dune exec bin/repro.exe -- validate-json BENCH_trace.chrome.json
+
+# Whole-run profile: trace the full reproduction and rank spans by self
+# time. BENCH_profile.json holds the top-10 table a performance change
+# starts from and cites; it must validate.
+profile:
+	dune exec bin/repro.exe -- all -x --trace BENCH_profile.jsonl > /dev/null
+	dune exec bin/repro.exe -- report BENCH_profile.jsonl --top 10 --json BENCH_profile.json
+	dune exec bin/repro.exe -- validate-json BENCH_profile.json
 
 # Kernel regression gating: append a host-tagged hot-kernel snapshot to the
 # BENCH_history.jsonl store, then diff against the previous entry and fail

@@ -40,11 +40,11 @@ let default =
 
 let netlist_speedup ~lib ~skew_frac ~stages g =
   let effort = { Flow.default_effort with tilos_moves = 0 } in
-  let build () = (Flow.run ~lib ~effort g).Flow.netlist in
-  let comb = (Sta.analyze (build ())).Sta.min_period_ps in
+  let base = (Flow.run ~lib ~effort g).Flow.netlist in
+  let comb = (Sta.analyze base).Sta.min_period_ps in
   let reg = Overhead.register_overhead_ps ~lib ~skew_ps:0. in
   let measure n =
-    let nl = build () in
+    let nl = Gap_netlist.Netlist.copy base in
     let cycle_est =
       ((comb /. float_of_int n) +. reg) /. (1. -. skew_frac)
     in

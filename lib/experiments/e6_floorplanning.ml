@@ -22,8 +22,9 @@ let run () =
   let lib = Gap_liberty.Libgen.(make tech rich) in
   let g = Gap_datapath.Multiplier.array_multiplier ~width:8 in
   let effort = { Gap_synth.Flow.default_effort with tilos_moves = 0 } in
+  let mapped = (Gap_synth.Flow.run ~lib ~effort g).Gap_synth.Flow.netlist in
   let place_run random =
-    let nl = (Gap_synth.Flow.run ~lib ~effort g).Gap_synth.Flow.netlist in
+    let nl = Gap_netlist.Netlist.copy mapped in
     let stats =
       if random then Gap_place.Placer.place_random nl
       else Gap_place.Placer.place nl

@@ -53,19 +53,16 @@ let run () =
   (* TILOS with placed wire loads *)
   let tilos_gain =
     let g = Gap_datapath.Adders.cla_adder 16 in
-    let build () =
-      let nl =
-        (Flow.run ~lib:rich_lib ~effort:{ Flow.default_effort with tilos_moves = 0 } g)
-          .Flow.netlist
-      in
-      ignore (Gap_place.Placer.place nl);
-      Gap_place.Wire_estimate.annotate nl;
-      nl
+    let placed =
+      (Flow.run ~lib:rich_lib ~effort:{ Flow.default_effort with tilos_moves = 0 } g)
+        .Flow.netlist
     in
-    let minimal = build () in
+    ignore (Gap_place.Placer.place placed);
+    Gap_place.Wire_estimate.annotate placed;
+    let minimal = Gap_netlist.Netlist.copy placed in
     Gap_synth.Sizing.set_all_drives minimal ~drive:1.;
     let p_min = (Sta.analyze minimal).Sta.min_period_ps in
-    let sized = build () in
+    let sized = Gap_netlist.Netlist.copy placed in
     ignore (Gap_synth.Sizing.tilos sized);
     let p_sized = (Sta.analyze sized).Sta.min_period_ps in
     p_min /. p_sized

@@ -36,10 +36,13 @@ let run () =
   let onehot = synthesize_fsm ~lib ~encoding:Fsm.Onehot Fsm.bus_interface in
   let onehot_sta = Extract.sta_period_ps onehot in
   (* feed-forward contrast: the multiplier's floor drops with rank count *)
-  let mult_bound stages =
+  let mult =
     let g = Gap_datapath.Multiplier.array_multiplier ~width:6 in
     let effort = { Flow.default_effort with Flow.tilos_moves = 0 } in
-    let nl = (Flow.run ~lib ~effort g).Flow.netlist in
+    (Flow.run ~lib ~effort g).Flow.netlist
+  in
+  let mult_bound stages =
+    let nl = Gap_netlist.Netlist.copy mult in
     ignore (Gap_retime.Pipeline.pipeline ~stages nl);
     Extract.retiming_bound_ps nl
   in

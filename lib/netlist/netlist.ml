@@ -48,6 +48,22 @@ let create ~lib name =
 
 let invalidate t = t.topo <- None
 
+(* Every mutable record is fresh; sink lists, port pairs and the topo array
+   are immutable (mutators replace them, never write into them), so the
+   copy shares them. *)
+let copy t =
+  {
+    t with
+    nets =
+      Vec.map
+        (fun n ->
+          { nname = n.nname; driver = n.driver; sinks = n.sinks; wcap = n.wcap; wdelay = n.wdelay })
+        t.nets;
+    insts = Vec.map (fun inst -> { inst with fanins = Array.copy inst.fanins }) t.insts;
+    ins = Vec.map Fun.id t.ins;
+    outs = Vec.map Fun.id t.outs;
+  }
+
 let name t = t.name
 let lib t = t.lib
 

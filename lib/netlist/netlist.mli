@@ -26,6 +26,15 @@ val create : lib:Gap_liberty.Library.t -> string -> t
 val name : t -> string
 val lib : t -> Gap_liberty.Library.t
 
+val copy : t -> t
+(** An independent copy: same name, ids, cells, wiring, placement and wire
+    parasitics, so every analysis of the copy equals that of [t], and no
+    mutator applied to one is visible in the other. Nets, instances (with
+    their fanin arrays) and the port tables are fresh; the library, the
+    cells and the cached {!topo_instances} order are shared, all of them
+    read-only. Experiments that compare several rewrites of one design
+    synthesize it once and copy it per variant. *)
+
 (** {1 Construction} *)
 
 val add_input : t -> string -> int

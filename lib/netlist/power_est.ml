@@ -9,28 +9,31 @@ type report = {
   vectors : int;
 }
 
-(* (toggle count, high count) per net over the stream *)
+(* (toggle count, high count) per net over the stream; the cycle's net
+   values and the previous cycle's live in two buffers swapped each vector,
+   and the flop state advances in place *)
 let counts ~vectors ~seed nl =
   let rng = Gap_util.Rng.create ~seed () in
-  let n_in = Netlist.num_inputs nl in
-  let n_nets = Netlist.num_nets nl in
-  let toggles = Array.make (max 1 n_nets) 0 in
-  let highs = Array.make (max 1 n_nets) 0 in
-  let state = ref (Sim.initial nl) in
-  let prev = ref None in
-  for _ = 1 to vectors do
-    let ins = Array.init n_in (fun _ -> Gap_util.Rng.bool rng) in
-    let values = Sim.net_values nl !state ins in
-    state := Sim.latch nl !state values;
-    (match !prev with
-    | Some old ->
-        Array.iteri
-          (fun net v ->
-            if v <> old.(net) then toggles.(net) <- toggles.(net) + 1)
-          values
-    | None -> ());
-    Array.iteri (fun net v -> if v then highs.(net) <- highs.(net) + 1) values;
-    prev := Some values
+  let n_nets = max 1 (Netlist.num_nets nl) in
+  let toggles = Array.make n_nets 0 in
+  let highs = Array.make n_nets 0 in
+  let state = Sim.initial nl in
+  let ins = Array.make (Netlist.num_inputs nl) false in
+  let cur = ref (Array.make n_nets false) and prev = ref (Array.make n_nets false) in
+  for v = 1 to vectors do
+    for port = 0 to Array.length ins - 1 do
+      ins.(port) <- Gap_util.Rng.bool rng
+    done;
+    let values = !cur and old = !prev in
+    Sim.net_values_into nl state ins values;
+    Sim.latch nl state values;
+    for net = 0 to n_nets - 1 do
+      if v > 1 && not (Bool.equal values.(net) old.(net)) then
+        toggles.(net) <- toggles.(net) + 1;
+      if values.(net) then highs.(net) <- highs.(net) + 1
+    done;
+    cur := old;
+    prev := values
   done;
   (toggles, highs)
 

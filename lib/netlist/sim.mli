@@ -26,12 +26,18 @@ val step : Netlist.t -> state -> bool array -> bool array * state
 val run : Netlist.t -> bool array list -> bool array list
 (** Multi-cycle simulation from the initial state. *)
 
-val net_values : Netlist.t -> state -> bool array -> bool array
-(** All net values for one combinational evaluation (exposed for tests, for
-    the domino converter's monotonicity checks, and for activity-based
-    power estimation, which reads every net's value each cycle). *)
+val net_values_into : Netlist.t -> state -> bool array -> bool array -> unit
+(** [net_values_into t st ins values] writes every net's value for one
+    combinational evaluation into the caller's [values] buffer (indexed by
+    net id, at least {!Netlist.num_nets} long), overwriting each entry, so
+    one buffer serves any number of cycles. Activity-based power estimation
+    reads every net's value each cycle and reuses two such buffers. *)
 
-val latch : Netlist.t -> state -> bool array -> state
-(** [latch t st values] is the flop state after the active edge, given the
-    {!net_values} of the cycle: every flop takes the value of its D net.
-    {!step} is {!net_values} followed by [latch]. *)
+val net_values : Netlist.t -> state -> bool array -> bool array
+(** {!net_values_into} a fresh array (exposed for tests and for the domino
+    converter's monotonicity checks). *)
+
+val latch : Netlist.t -> state -> bool array -> unit
+(** [latch t st values] advances [st] in place past the active edge, given
+    the net values of the cycle: every flop takes the value of its D net.
+    {!step} is {!net_values} followed by [latch] on a copy of the state. *)

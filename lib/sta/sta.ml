@@ -24,13 +24,17 @@ let config_with_skew skew = { default_config with clock_skew_ps = skew }
 (* logic-depth buckets for the stage-resolved slack histograms: shallow
    paths (a few gates between flops) fail timing for different reasons than
    deep ones, so slack is reported per depth band *)
-let depth_bucket d =
-  if d <= 4 then "01_04"
-  else if d <= 8 then "05_08"
-  else if d <= 12 then "09_12"
-  else if d <= 16 then "13_16"
-  else if d <= 24 then "17_24"
-  else "25_up"
+let depth_buckets = [| "01_04"; "05_08"; "09_12"; "13_16"; "17_24"; "25_up" |]
+
+let depth_bucket_index d =
+  if d <= 4 then 0 else if d <= 8 then 1 else if d <= 12 then 2 else if d <= 16 then 3
+  else if d <= 24 then 4 else 5
+
+let depth_bucket d = depth_buckets.(depth_bucket_index d)
+
+(* histogram names, built once rather than per endpoint of every traced
+   analysis *)
+let slack_by_depth_names = Array.map (fun b -> "sta.slack_by_depth." ^ b) depth_buckets
 
 type step = {
   what : string;
@@ -63,6 +67,12 @@ type t = {
    when another path is critical. *)
 
 let stage_label st = Printf.sprintf "s%02d" st
+
+let slack_by_stage_names = Array.init 64 (fun st -> "sta.slack_by_stage." ^ stage_label st)
+
+let slack_by_stage_name st =
+  if st < Array.length slack_by_stage_names then slack_by_stage_names.(st)
+  else "sta.slack_by_stage." ^ stage_label st
 
 let reg_depths nl =
   let nnets = Netlist.num_nets nl in
@@ -287,11 +297,9 @@ let analyze_body cfg nl =
         let slack = period -. endpoint_margin cfg nl ep -. arrival.(net) in
         Obs.observe ~bounds:slack_bounds_ps "sta.endpoint_slack_ps" slack;
         Obs.observe ~bounds:slack_bounds_ps
-          ("sta.slack_by_depth." ^ depth_bucket (logic_depth net))
+          slack_by_depth_names.(depth_bucket_index (logic_depth net))
           slack;
-        Obs.observe ~bounds:slack_bounds_ps
-          ("sta.slack_by_stage." ^ stage_label (1 + stage_of net))
-          slack)
+        Obs.observe ~bounds:slack_bounds_ps (slack_by_stage_name (1 + stage_of net)) slack)
       endpoints
   end;
   {

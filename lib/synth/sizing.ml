@@ -24,16 +24,18 @@ let move_gain nl inst (old_c : Cell.t) (new_c : Cell.t) =
       | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ());
   d_self +. !worst_upstream
 
+(* Each iteration starts from the analysis of the netlist as it stands: the
+   first from the initial one, every later one from the analysis that
+   accepted the previous move. *)
 let tilos ?(config = Sta.default_config) ?max_moves nl =
   let lib = Netlist.lib nl in
   let max_moves =
     match max_moves with Some m -> m | None -> 4 * max 1 (Netlist.num_instances nl)
   in
-  let initial = (Sta.analyze ~config nl).Sta.min_period_ps in
-  let rec loop moves current_period =
+  let rec loop moves (sta : Sta.t) =
+    let current_period = sta.Sta.min_period_ps in
     if moves >= max_moves then (moves, current_period)
     else begin
-      let sta = Sta.analyze ~config nl in
       let candidates =
         List.filter_map
           (fun (s : Sta.step) ->
@@ -57,8 +59,8 @@ let tilos ?(config = Sta.default_config) ?max_moves nl =
       match best with
       | Some (i, _, up, gain) when gain < -1e-9 ->
           Netlist.replace_cell nl i up;
-          let period = (Sta.analyze ~config nl).Sta.min_period_ps in
-          if period > current_period +. 1e-9 then begin
+          let after = Sta.analyze ~config nl in
+          if after.Sta.min_period_ps > current_period +. 1e-9 then begin
             (* The local model lied (rare): revert and stop. *)
             let c = Netlist.cell_of nl i in
             (match Library.next_drive_down lib c with
@@ -66,12 +68,13 @@ let tilos ?(config = Sta.default_config) ?max_moves nl =
             | None -> ());
             (moves, current_period)
           end
-          else loop (moves + 1) period
+          else loop (moves + 1) after
       | _ -> (moves, current_period)
     end
   in
+  let initial = Sta.analyze ~config nl in
   let moves, final = loop 0 initial in
-  { moves; initial_period_ps = initial; final_period_ps = final }
+  { moves; initial_period_ps = initial.Sta.min_period_ps; final_period_ps = final }
 
 let minimize_drives nl =
   let lib = Netlist.lib nl in

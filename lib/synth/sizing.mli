@@ -20,7 +20,11 @@ val tilos :
   ?max_moves:int ->
   Gap_netlist.Netlist.t ->
   result
-(** Mutates the netlist. Default [max_moves] = 4 x instance count. *)
+(** Mutates the netlist. Default [max_moves] = 4 x instance count.
+
+    Runs {!Gap_sta.Sta.analyze} [1 + moves] times: once up front, then once
+    per accepted move, whose analysis also picks the next move; a rejected
+    (reverted) final move costs one more. *)
 
 val minimize_drives : Gap_netlist.Netlist.t -> unit
 

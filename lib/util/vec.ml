@@ -49,6 +49,7 @@ let fold f acc t =
 
 let to_array t = Array.sub t.data 0 t.len
 let map_to_array f t = Array.init t.len (fun i -> f t.data.(i))
+let map f t = { data = map_to_array f t; len = t.len; capacity = max 1 t.len }
 let of_array a = { data = Array.copy a; len = Array.length a; capacity = max 1 (Array.length a) }
 
 let find_index p t =

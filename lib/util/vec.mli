@@ -21,6 +21,10 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val map_to_array : ('a -> 'b) -> 'a t -> 'b array
+
+val map : ('a -> 'b) -> 'a t -> 'b t
+(** A fresh vector of the images, same length and indices. *)
+
 val to_array : 'a t -> 'a array
 val of_array : 'a array -> 'a t
 val find_index : ('a -> bool) -> 'a t -> int option

@@ -297,6 +297,90 @@ let test_topo_cycle_after_cache () =
   Netlist.replace_cell nl u1 (Library.smallest_flop (Lazy.force lib));
   Alcotest.(check (array int)) "flop breaks the loop" [| u0; u1 |] (Netlist.topo_instances nl)
 
+(* --- Netlist.copy --- *)
+
+(* A random mapped design, pipelined on odd seeds, then placed and
+   wire-annotated, so a copy has placement and parasitics to carry. *)
+let random_physical seed =
+  let g =
+    Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:6 ~outputs:3
+      ~gates:30 ()
+  in
+  let effort = { Gap_synth.Flow.default_effort with Gap_synth.Flow.tilos_moves = 0 } in
+  let nl = (Gap_synth.Flow.run ~lib:(Lazy.force lib) ~effort g).Gap_synth.Flow.netlist in
+  if seed mod 2 = 1 then ignore (Gap_retime.Pipeline.pipeline ~stages:2 nl);
+  let options =
+    { Gap_place.Placer.default_options with sweeps = 4; seed = Int64.of_int seed }
+  in
+  ignore (Gap_place.Placer.place ~options nl);
+  Gap_place.Wire_estimate.annotate nl;
+  nl
+
+(* What a reader can see of a netlist: the timing report, the topological
+   order, the placement, the Verilog text and the cycle-by-cycle outputs. *)
+let observe nl =
+  let rng = Gap_util.Rng.create ~seed:7L () in
+  let vectors =
+    List.init 8 (fun _ -> Array.init (Netlist.num_inputs nl) (fun _ -> Gap_util.Rng.bool rng))
+  in
+  ( Gap_sta.Sta.analyze nl,
+    Array.copy (Netlist.topo_instances nl),
+    List.init (Netlist.num_instances nl) (Netlist.location nl),
+    Gap_netlist.Verilog.write nl,
+    Sim.run nl vectors )
+
+(* Mutation number [k mod 9], one per public mutator, its operands reduced
+   into range; the result may be inconsistent or cyclic, and is never
+   observed. *)
+let mutate_any nl k (x, y) =
+  let lib = Lazy.force lib in
+  let n = Netlist.num_instances nl and nets = Netlist.num_nets nl in
+  let inst = x mod n and net = y mod nets in
+  match k mod 9 with
+  | 0 ->
+      let c = Netlist.cell_of nl inst in
+      let resized =
+        if y mod 2 = 0 then Library.next_drive_up lib c else Library.next_drive_down lib c
+      in
+      Option.iter (Netlist.replace_cell nl inst) resized
+  | 1 ->
+      let pins = Netlist.num_fanins nl inst in
+      if pins > 0 then Netlist.rewire_pin nl ~inst ~pin:(y mod pins) (x mod nets)
+  | 2 ->
+      let sinks = List.filteri (fun k _ -> k mod 2 = x mod 2) (Netlist.sinks_of nl net) in
+      ignore (Netlist.insert_on_sinks nl (List.hd (Library.buffers lib)) ~net ~sinks)
+  | 3 ->
+      let cells = Lazy.force comb_cells in
+      let c = cells.(x mod Array.length cells) in
+      ignore (Netlist.add_cell nl c (Array.init c.Cell.n_inputs (fun k -> (y + (5 * k)) mod nets)))
+  | 4 -> Netlist.place nl inst ~x_um:(float_of_int y) ~y_um:(float_of_int x)
+  | 5 ->
+      Netlist.set_wire_cap_ff nl net (float_of_int (x mod 90));
+      Netlist.set_wire_delay_ps nl net (float_of_int (x mod 70))
+  | 6 -> Netlist.rewire_output nl (x mod Netlist.num_outputs nl) net
+  | 7 ->
+      Netlist.unsafe_set_fanins nl inst
+        (Array.init (Netlist.num_fanins nl inst) (fun k -> (y + (3 * k)) mod nets))
+  | _ -> Netlist.unsafe_set_driver nl net (Netlist.From_cell inst)
+
+let copy_is_independent =
+  QCheck.Test.make ~name:"copy = original, and mutators on either stay apart" ~count:40
+    QCheck.(
+      pair (int_bound 10_000)
+        (list_of_size Gen.(int_range 9 24) (pair (int_bound 1_000) (int_bound 1_000))))
+    (fun (seed, ops) ->
+      let nl = random_physical seed in
+      let before = observe nl in
+      (* every mutator runs at least once: operation [k] is mutator [k mod 9] *)
+      let mutate_all target = List.iteri (mutate_any target) ops in
+      let copy = Netlist.copy nl in
+      let same_copy = observe copy = before in
+      mutate_all copy;
+      let original_kept = observe nl = before in
+      let copy = Netlist.copy nl in
+      mutate_all nl;
+      same_copy && original_kept && observe copy = before)
+
 let suite =
   [
     ("structure accessors", `Quick, test_structure);
@@ -314,4 +398,5 @@ let suite =
     ("constant nets", `Quick, test_const_nets);
     QCheck_alcotest.to_alcotest topo_memo_follows_mutations;
     ("topo: loop closed after caching", `Quick, test_topo_cycle_after_cache);
+    QCheck_alcotest.to_alcotest copy_is_independent;
   ]

@@ -322,6 +322,43 @@ let critical_matches_reference =
           String.equal sta.Sta.critical.Sta.endpoint endpoint && sta.Sta.critical.Sta.steps = steps
       | None -> String.equal sta.Sta.critical.Sta.endpoint "(no endpoints)")
 
+(* Every slack histogram one traced analysis of a 4-stage pipelined alu16
+   records: name, sample count and bucket counts, as recorded when the names
+   were formatted per endpoint. *)
+let alu16_histograms =
+  [
+    ("sta.endpoint_slack_ps", 345, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 2; 1; 1; 8; 127; 205; 0; 0; 0 |]);
+    ("sta.slack_by_depth.01_04", 245, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 45; 200; 0; 0; 0 |]);
+    ("sta.slack_by_depth.05_08", 78, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 73; 5; 0; 0; 0 |]);
+    ("sta.slack_by_depth.09_12", 13, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 1; 1; 2; 8; 0; 0; 0; 0 |]);
+    ("sta.slack_by_depth.13_16", 9, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 1; 0; 0; 6; 1; 0; 0; 0; 0 |]);
+    ("sta.slack_by_stage.s01", 206, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 74; 132; 0; 0; 0 |]);
+    ("sta.slack_by_stage.s02", 77, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 2; 1; 1; 2; 47; 23; 0; 0; 0 |]);
+    ("sta.slack_by_stage.s03", 46, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 5; 3; 38; 0; 0; 0 |]);
+    ("sta.slack_by_stage.s04", 16, [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 3; 12; 0; 0; 0 |]);
+  ]
+
+let test_traced_histograms_pipelined_alu16 () =
+  let effort = { Gap_synth.Flow.default_effort with Gap_synth.Flow.tilos_moves = 0 } in
+  let nl =
+    (Gap_synth.Flow.run ~lib:(Lazy.force lib) ~effort (Gap_datapath.Alu.alu 16)).Gap_synth.Flow.netlist
+  in
+  ignore (Gap_retime.Pipeline.pipeline ~stages:4 nl);
+  let sink = Gap_obs.Obs.recorder () in
+  Gap_obs.Obs.with_sink sink (fun () -> ignore (Sta.analyze nl));
+  let got =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Gap_obs.Obs.histograms sink)
+  in
+  List.iter
+    (fun (name, (h : Gap_obs.Obs.hist_stats)) ->
+      Alcotest.(check (array (float 0.))) (name ^ " bounds") Sta.slack_bounds_ps h.bounds)
+    got;
+  Alcotest.(check (list (triple string int (array int))))
+    "names, counts and buckets" alu16_histograms
+    (List.map (fun (name, (h : Gap_obs.Obs.hist_stats)) -> (name, h.n, h.counts)) got)
+
 let suite =
   [
     ("inverter chain arrival", `Quick, test_inverter_chain_arrival);
@@ -342,4 +379,5 @@ let suite =
     ("worst endpoint: flop D pin", `Quick, test_worst_endpoint_flop);
     ("worst endpoint: output port", `Quick, test_worst_endpoint_port);
     QCheck_alcotest.to_alcotest critical_matches_reference;
+    ("traced histograms: pipelined alu16", `Quick, test_traced_histograms_pipelined_alu16);
   ]

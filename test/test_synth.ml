@@ -320,6 +320,107 @@ let test_tilos_gains_under_wire_load () =
     (r.Gap_synth.Sizing.final_period_ps < before -. 1.);
   Alcotest.(check bool) "moves made" true (r.Gap_synth.Sizing.moves > 0)
 
+(* TILOS as it stood when every iteration re-analysed the netlist the
+   previous move had already timed: one analysis up front, then two per
+   accepted move (the acceptance check, then the top of the loop). Also
+   says whether the run ended on a reverted move. *)
+let move_gain nl inst (old_c : Gap_liberty.Cell.t) (new_c : Gap_liberty.Cell.t) =
+  let load = Netlist.net_load_ff nl (Netlist.out_net nl inst) in
+  let d_self =
+    Gap_liberty.Cell.delay_ps new_c ~load_ff:load -. Gap_liberty.Cell.delay_ps old_c ~load_ff:load
+  in
+  let d_cin = new_c.input_cap_ff -. old_c.input_cap_ff in
+  let worst_upstream = ref 0. in
+  Netlist.iter_fanins nl inst (fun fnet ->
+      match Netlist.driver_of nl fnet with
+      | Netlist.From_cell d ->
+          let slow = (Netlist.cell_of nl d).drive_res_kohm *. d_cin in
+          if slow > !worst_upstream then worst_upstream := slow
+      | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ());
+  d_self +. !worst_upstream
+
+let tilos_two_analyses ?(config = Sta.default_config) ?max_moves nl =
+  let lib = Netlist.lib nl in
+  let max_moves =
+    match max_moves with Some m -> m | None -> 4 * max 1 (Netlist.num_instances nl)
+  in
+  let initial = (Sta.analyze ~config nl).Sta.min_period_ps in
+  let rec loop moves current_period =
+    if moves >= max_moves then (moves, current_period, false)
+    else begin
+      let sta = Sta.analyze ~config nl in
+      let candidates =
+        List.filter_map
+          (fun (s : Sta.step) ->
+            match s.inst with
+            | Some i when not (Netlist.is_flop nl i) -> (
+                let c = Netlist.cell_of nl i in
+                match Library.next_drive_up lib c with
+                | Some up -> Some (i, up, move_gain nl i c up)
+                | None -> None)
+            | Some _ | None -> None)
+          sta.Sta.critical.steps
+      in
+      let best =
+        List.fold_left
+          (fun acc (i, up, gain) ->
+            match acc with Some (_, _, g) when g <= gain -> acc | _ -> Some (i, up, gain))
+          None candidates
+      in
+      match best with
+      | Some (i, up, gain) when gain < -1e-9 ->
+          Netlist.replace_cell nl i up;
+          let period = (Sta.analyze ~config nl).Sta.min_period_ps in
+          if period > current_period +. 1e-9 then begin
+            (match Library.next_drive_down lib (Netlist.cell_of nl i) with
+            | Some down -> Netlist.replace_cell nl i down
+            | None -> ());
+            (moves, current_period, true)
+          end
+          else loop (moves + 1) period
+      | _ -> (moves, current_period, false)
+    end
+  in
+  let moves, final, reverted = loop 0 initial in
+  ({ Gap_synth.Sizing.moves; initial_period_ps = initial; final_period_ps = final }, reverted)
+
+let cells_of nl = List.init (Netlist.num_instances nl) (fun i -> (Netlist.cell_of nl i).name)
+
+let sta_calls f =
+  let sink = Gap_obs.Obs.recorder () in
+  let r = Gap_obs.Obs.with_sink sink f in
+  let calls =
+    List.fold_left
+      (fun acc (s : Gap_obs.Obs.span_stats) ->
+        if String.equal s.name "sta.analyze" then acc + s.calls else acc)
+      0 (Gap_obs.Obs.spans sink)
+  in
+  (r, calls)
+
+(* Random mapped logic at uniform X1 with fat wires hung on random nets, so
+   runs differ in length; a low move cap on some seeds stops TILOS early. *)
+let tilos_matches_two_analysis_reference =
+  QCheck.Test.make ~name:"tilos = two-analysis reference, 1 + moves analyses" ~count:30
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let g =
+        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:8 ~outputs:4
+          ~gates:60 ()
+      in
+      let nl = Gap_synth.Mapper.map_aig ~lib:(Lazy.force rich) g in
+      Gap_synth.Sizing.set_all_drives nl ~drive:1.;
+      let rng = Gap_util.Rng.create ~seed:(Int64.of_int seed) () in
+      for _ = 1 to 3 do
+        Netlist.set_wire_cap_ff nl (Gap_util.Rng.int rng (Netlist.num_nets nl)) 120.
+      done;
+      let max_moves = if seed mod 3 = 0 then Some (seed mod 7) else None in
+      let reference = Netlist.copy nl in
+      let want, reverted = tilos_two_analyses ?max_moves reference in
+      let got, calls = sta_calls (fun () -> Gap_synth.Sizing.tilos ?max_moves nl) in
+      got = want
+      && cells_of nl = cells_of reference
+      && calls = 1 + got.moves + if reverted then 1 else 0)
+
 let test_set_all_drives () =
   let g = Gap_datapath.Adders.ripple_adder 6 in
   let nl = Gap_synth.Mapper.map_aig ~lib:(Lazy.force rich) g in
@@ -469,6 +570,7 @@ let suite =
     ("mapper: estimate positive", `Quick, test_mapper_estimate_positive);
     ("tilos: never worsens", `Quick, test_tilos_never_worsens);
     ("tilos: gains under wire load", `Quick, test_tilos_gains_under_wire_load);
+    QCheck_alcotest.to_alcotest tilos_matches_two_analysis_reference;
     ("sizing: set_all_drives", `Quick, test_set_all_drives);
     ("sizing: minimize_drives", `Quick, test_minimize_drives);
     ("sizing: downsize non-critical", `Quick, test_downsize_noncritical);
