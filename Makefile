@@ -64,8 +64,9 @@ profile:
 # Kernel regression gating: append a host-tagged hot-kernel snapshot to the
 # BENCH_history.jsonl store, then diff against the previous entry and fail
 # on any metric more than 50% slower (normalized by the entries' host
-# calibration numbers). With fewer than two entries the diff passes
-# trivially, so a fresh clone bootstraps its own baseline.
+# calibration numbers). The store is committed with the last change's
+# labelled snapshot, so a fresh clone diffs against it; with fewer than
+# two entries the diff would pass trivially.
 bench-diff:
 	dune exec bench/main.exe -- --kernels-json BENCH_kernels.json --history BENCH_history.jsonl
 	dune exec bin/repro.exe -- report --diff prev last --history BENCH_history.jsonl --gate 50

@@ -37,6 +37,8 @@ let cla8 = Gap_datapath.Adders.cla_adder 8
 let cla32 = Gap_datapath.Adders.cla_adder 32
 let mult8 = Gap_datapath.Multiplier.array_multiplier ~width:8
 let ks16 = Gap_datapath.Adders.kogge_stone_adder 16
+let mult16_balanced =
+  Gap_synth.Balance.balance (Gap_datapath.Multiplier.array_multiplier ~width:16)
 let alu16_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Alu.alu 16))
 let mult6_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Multiplier.array_multiplier ~width:6))
 let cla16_netlist = lazy (Gap_synth.Mapper.map_aig ~lib:rich_lib (Gap_datapath.Adders.cla_adder 16))
@@ -185,7 +187,9 @@ let run_benchmarks ~quota () =
    ssta_alu16_50 and power_est_cla16 baselines are the median of three runs
    of this harness at commit af1221f on the same 2-CPU container, before
    netlists kept their topological order and before power estimation
-   simulated each vector once. *)
+   simulated each vector once. The cuts_mult16 baseline is the median of
+   three runs of this harness at commit 64217ef on the same 2-CPU
+   container, with the list-based enumerator. *)
 let seed_baseline_ns =
   [
     ("e4_sta", 492327.);
@@ -199,6 +203,7 @@ let seed_baseline_ns =
     ("synth_map_cla32_rich", 881890000.);
     ("ssta_alu16_50", 27703510.);
     ("power_est_cla16", 101144151.);
+    ("cuts_mult16", 44223095.);
   ]
 
 let mc_model = lazy (Gap_variation.Model.make Gap_variation.Model.mature)
@@ -259,6 +264,9 @@ let kernel_tests =
          truth tables, match-table lookups and the covering DP *)
       Test.make ~name:"synth_map_cla32_rich"
         (Staged.stage (fun () -> Gap_synth.Mapper.map_aig ~lib:rich_lib cla32));
+      (* cut enumeration alone, on the mapper's largest input in E3 *)
+      Test.make ~name:"cuts_mult16"
+        (Staged.stage (fun () -> Gap_synth.Cuts.enumerate mult16_balanced));
       Test.make ~name:"dse_key_fnv"
         (Staged.stage (fun () -> Gap_dse.Key.of_point Gap_dse.Space.custom_corner));
       (* loops that evaluate one netlist many times: SSTA re-times alu16 once
@@ -316,7 +324,7 @@ let scaling_doc rows =
       Some (doc, ratio, cores, threshold, pass)
   | _ -> None
 
-let write_kernels_json ?history path =
+let write_kernels_json ?history ~label path =
   let module Json = Gap_obs.Json in
   print_endline "=== hot-kernel benchmarks ===";
   ignore (Lazy.force alu16_netlist);
@@ -400,7 +408,7 @@ let write_kernels_json ?history path =
         | None -> []
       in
       Gap_obs.History.append store
-        (Gap_obs.History.make ~meta ~label:"bench-kernels" metrics);
+        (Gap_obs.History.make ~meta ~label metrics);
       Printf.printf "history: appended %d metrics to %s\n%!"
         (List.length metrics) store)
     history;
@@ -421,7 +429,7 @@ let write_kernels_json ?history path =
 let usage () =
   print_endline
     "usage: bench [--tables-only | --bench-only] [--quick] [--kernels-json PATH]\n\
-     \             [--history PATH]\n\
+     \             [--history PATH [--label L]]\n\
      \  default            regenerate the E1-E10/X1-X5 tables, then run the\n\
      \                     per-experiment bechamel suite\n\
      \  --tables-only      only regenerate the tables\n\
@@ -431,6 +439,8 @@ let usage () =
      \  --history P        with --kernels-json: also append a host-tagged\n\
      \                     snapshot (ns/run per kernel + scaling ratio) to the\n\
      \                     P history store, for repro report --diff\n\
+     \  --label L          with --history: the snapshot's label (default\n\
+     \                     bench-kernels), a selector for repro report --diff\n\
      \  --quick            shorter measurement quota per benchmark (does not\n\
      \                     shrink the hot-kernel suite, which needs the\n\
      \                     samples for a stable fit)"
@@ -441,6 +451,7 @@ let () =
   let quick = ref false in
   let kernels_json = ref None in
   let history = ref None in
+  let label = ref "bench-kernels" in
   let rec parse = function
     | [] -> ()
     | "--tables-only" :: rest -> tables_only := true; parse rest
@@ -454,6 +465,11 @@ let () =
     | "--history" :: path :: rest -> history := Some path; parse rest
     | [ "--history" ] ->
         prerr_endline "bench: --history requires a path";
+        usage ();
+        exit 2
+    | "--label" :: l :: rest -> label := l; parse rest
+    | [ "--label" ] ->
+        prerr_endline "bench: --label requires a value";
         usage ();
         exit 2
     | ("--help" | "-h") :: _ -> usage (); exit 0
@@ -470,7 +486,7 @@ let () =
   end;
   let quota = if !quick then 0.25 else 0.5 in
   match !kernels_json with
-  | Some path -> write_kernels_json ?history:!history path
+  | Some path -> write_kernels_json ?history:!history ~label:!label path
   | None ->
       if !history <> None then begin
         prerr_endline "bench: --history requires --kernels-json";

@@ -19,7 +19,7 @@ let choose_cuts ~k g =
   Array.iter
     (fun id ->
       let best_d = ref max_int and best_sz = ref max_int and best_c = ref None in
-      List.iter
+      Array.iter
         (fun (c : Cuts.cut) ->
           (* the trivial cut {id} cannot implement id *)
           if not (Array.length c.Cuts.leaves = 1 && c.Cuts.leaves.(0) = id)
@@ -76,7 +76,10 @@ let map ~(fabric : Fabric.t) ?(name = "fpga") g =
     (fun id ->
       if needed.(id) then begin
         let c = Option.get best.(id) in
-        let cell = Fabric.lut_cell fabric c.Cuts.tt in
+        let func =
+          Gap_logic.Truthtable.create ~vars:(Cuts.size c) (Int64.of_int c.Cuts.bits)
+        in
+        let cell = Fabric.lut_cell fabric func in
         let inst = Netlist.add_cell nl cell (Array.map net_of c.Cuts.leaves) in
         node_net.(id) <- Netlist.out_net nl inst;
         incr luts;

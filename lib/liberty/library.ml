@@ -12,7 +12,7 @@ type t = {
 }
 
 (* Tables of at most 4 inputs fit in 16 bits; the input count goes above. *)
-let match_key f = (Tt.vars f lsl 16) lor Int64.to_int (Tt.bits f)
+let match_key ~vars bits = (vars lsl 16) lor bits
 
 (* Every target function reached by some combinational cell, with the cells
    (and their minimum-negation wirings) that realize it. Each distinct cell
@@ -35,7 +35,7 @@ let build_matches cells =
         in
         List.iter
           (fun (f, tf) ->
-            let k = match_key f in
+            let k = match_key ~vars:(Tt.vars f) (Int64.to_int (Tt.bits f)) in
             let existing = Option.value ~default:[] (Itbl.find_opt lists k) in
             Itbl.replace lists k ((c, tf) :: existing))
           targets
@@ -77,9 +77,11 @@ let bases t =
 
 let no_matches = [||]
 
-let matches t f =
-  if Tt.vars f > 4 then no_matches
-  else Option.value ~default:no_matches (Itbl.find_opt t.matches (match_key f))
+let matches_bits t ~vars bits =
+  if vars > 4 then no_matches
+  else Option.value ~default:no_matches (Itbl.find_opt t.matches (match_key ~vars bits))
+
+let matches t f = matches_bits t ~vars:(Tt.vars f) (Int64.to_int (Tt.bits f))
 
 let cells_matching t f = Array.to_list (Array.map fst (matches t f))
 

@@ -28,6 +28,13 @@ val matches :
     lookup: the tables are built once by {!make}. The result is shared; do
     not mutate it. *)
 
+val matches_bits :
+  t -> vars:int -> int -> (Cell.t * Gap_logic.Npn.transform) array
+(** [matches_bits t ~vars bits] is {!matches} of the [vars]-input table
+    whose bit [m] is bit [m] of [bits], looked up by an int key: the
+    mapper reads cut tables this way without building a
+    {!Gap_logic.Truthtable.t}. *)
+
 val cells_matching : t -> Gap_logic.Truthtable.t -> Cell.t list
 (** The cells of {!matches}, in the same order. *)
 

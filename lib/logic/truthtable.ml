@@ -134,18 +134,6 @@ let expand t ~vars =
   assert (vars >= t.vars && vars <= max_vars);
   create ~vars (replicate t.bits ~from:t.vars ~vars)
 
-let stretch t ~vars pos =
-  assert (Array.length pos = t.vars && vars >= t.vars && vars <= max_vars);
-  let bits = ref (replicate t.bits ~from:t.vars ~vars) in
-  (* Move the inputs top-down: every slot above input i is by then either a
-     placed input or a don't-care, and pos.(i) is one of the latter. *)
-  for i = t.vars - 1 downto 0 do
-    let p = pos.(i) in
-    assert (p >= i && p < vars && (i = t.vars - 1 || p < pos.(i + 1)));
-    if p <> i then bits := swap_bits !bits i p
-  done;
-  create ~vars !bits
-
 let is_positive_unate_in t i =
   if not (depends_on t i) then true
   else begin

@@ -56,12 +56,6 @@ val expand : t -> vars:int -> t
 (** Re-declare with more variables (new ones are don't-cares the function
     ignores). *)
 
-val stretch : t -> vars:int -> int array -> t
-(** [stretch f ~vars pos] re-expresses [f] over [vars] inputs with old input
-    [i] moved to position [pos.(i)]; [pos] must be strictly increasing. The
-    other inputs are don't-cares. Cut enumeration uses it to lift a child
-    cut's table onto the merged leaf set. *)
-
 val is_positive_unate_in : t -> int -> bool
 (** True if the function is positive unate (monotone non-decreasing) in input
     [i]; used by the domino-mapping legality check. *)

@@ -1,63 +1,73 @@
 module Aig = Gap_logic.Aig
-module Tt = Gap_logic.Truthtable
+module Obs = Gap_obs.Obs
 
-type cut = { leaves : int array; tt : Tt.t }
+type cut = { leaves : int array; sign : int; bits : int }
 
-let unit_tt = Tt.var ~vars:1 0
-let trivial n = { leaves = [| n |]; tt = unit_tt }
+let max_k = 5
+let[@inline] leaf_sign leaf = 1 lsl (leaf mod 63)
+
+(* The projection onto input 0 of a one-input table is 0b10. *)
+let trivial n = { leaves = [| n |]; sign = leaf_sign n; bits = 2 }
 let size c = Array.length c.leaves
 
-(* Size of the union of two sorted leaf arrays, or some size above [k] as
-   soon as it exceeds [k]: pairs that fail here allocate nothing. *)
-let union_size k a b =
+(* Whether [x] has at most [k] bits set: clears one bit per step, so it
+   stops after at most [k + 1] steps. *)
+let rec popcount_le x k = x = 0 || (k > 0 && popcount_le (x land (x - 1)) (k - 1))
+
+(* Truth tables of at most [max_k] inputs as ints: the projection patterns
+   over 32 minterm slots, and the mask of the [2^vars] live bits. *)
+let var_patterns = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
+let masks = Array.init (max_k + 1) (fun vars -> (1 lsl (1 lsl vars)) - 1)
+
+(* Swap inputs [i < j]: the minterms with x_i = 1, x_j = 0 trade places with
+   those with x_i = 0, x_j = 1, [2^j - 2^i] slots higher. *)
+let[@inline] swap_bits bits i j =
+  let pi = var_patterns.(i) and pj = var_patterns.(j) in
+  let shift = (1 lsl j) - (1 lsl i) in
+  let up = pi land lnot pj and down = lnot pi land pj in
+  bits land lnot (up lor down) lor ((bits land up) lsl shift) lor ((bits land down) lsr shift)
+
+(* The table of child cut [c], complemented when [compl_], lifted onto the
+   [n] merged leaves [leaves] (a superset of [c.leaves]): replicate it over
+   the new inputs, then move its inputs into place top-down, where every
+   slot above input [i] is by then a placed input or a don't-care. *)
+let lift c compl_ leaves n =
+  let m = size c in
+  let bits = ref c.bits in
+  for v = m to n - 1 do
+    bits := !bits lor (!bits lsl (1 lsl v))
+  done;
+  let o = ref (n - 1) in
+  for i = m - 1 downto 0 do
+    while leaves.(!o) <> c.leaves.(i) do
+      decr o
+    done;
+    if !o <> i then bits := swap_bits !bits i !o
+  done;
+  if compl_ then !bits lxor masks.(n) else !bits
+
+(* Merge the sorted leaf arrays [a] and [b] into [out]; the union's size, or
+   [k + 1] as soon as it would exceed [k]. *)
+let merge k a b out =
   let la = Array.length a and lb = Array.length b in
   let rec go i j n =
-    if n > k then n
-    else if i = la then n + (lb - j)
-    else if j = lb then n + (la - i)
-    else
-      let x = a.(i) and y = b.(j) in
-      if x = y then go (i + 1) (j + 1) (n + 1)
-      else if x < y then go (i + 1) j (n + 1)
-      else go i (j + 1) (n + 1)
+    if i = la && j = lb then n
+    else if n = k then k + 1
+    else if j = lb || (i < la && a.(i) < b.(j)) then begin
+      out.(n) <- a.(i);
+      go (i + 1) j (n + 1)
+    end
+    else begin
+      out.(n) <- b.(j);
+      go (if i < la && a.(i) = b.(j) then i + 1 else i) (j + 1) (n + 1)
+    end
   in
   go 0 0 0
 
-(* The union itself, [n] leaves long. *)
-let union n a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make n 0 in
-  let i = ref 0 and j = ref 0 in
-  for o = 0 to n - 1 do
-    if !j = lb || (!i < la && a.(!i) < b.(!j)) then begin
-      out.(o) <- a.(!i);
-      incr i
-    end
-    else begin
-      if !i < la && a.(!i) = b.(!j) then incr i;
-      out.(o) <- b.(!j);
-      incr j
-    end
-  done;
-  out
-
-(* The table of child cut [c], complemented when [compl_], lifted onto the
-   merged leaf set [leaves] (a superset of [c.leaves]). *)
-let lift c compl_ leaves =
-  let pos = Array.make (size c) 0 in
-  let o = ref 0 in
-  for i = 0 to size c - 1 do
-    while leaves.(!o) <> c.leaves.(i) do
-      incr o
-    done;
-    pos.(i) <- !o
-  done;
-  let t = Tt.stretch c.tt ~vars:(Array.length leaves) pos in
-  if compl_ then Tt.lognot t else t
-
-let subset a b =
-  (* both sorted *)
-  let la = Array.length a and lb = Array.length b in
+(* Whether the sorted [a] is a subset of the first [lb] entries of the
+   sorted [b]. *)
+let subset a b lb =
+  let la = Array.length a in
   let rec go i j =
     if i = la then true
     else if j = lb then false
@@ -67,70 +77,80 @@ let subset a b =
   in
   la <= lb && go 0 0
 
-let dominated leaves existing = List.exists (fun e -> subset e.leaves leaves) existing
+(* Per-node candidate buffer: the kept cuts in order, head first, with one
+   slot beyond [per_node] for the cut being inserted. *)
+type buf = { cuts : cut array; mutable count : int }
 
-(* Add a cut no existing cut dominates, dropping the cuts it dominates. *)
-let insert_cut per_node cuts c =
-  let survivors = List.filter (fun e -> not (subset c.leaves e.leaves)) cuts in
-  let cuts = c :: survivors in
-  if List.length cuts <= per_node then cuts
-  else begin
-    (* Drop the largest cut beyond the budget (trivial cut is size 1 and
-       thus always survives). *)
-    let sorted = List.sort (fun a b -> Int.compare (size a) (size b)) cuts in
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
-    take per_node sorted
+(* Whether a kept cut is a subset of the [n] leaves in [scratch], whose
+   signature is [s]. *)
+let dominated buf scratch n s =
+  let rec go r =
+    r < buf.count
+    && (let e = buf.cuts.(r) in
+        (e.sign land lnot s = 0 && subset e.leaves scratch n) || go (r + 1))
+  in
+  go 0
+
+(* Add a cut no kept cut dominates: drop the kept cuts it dominates and put
+   it first. Beyond [per_node] cuts, stable-sort by size and drop the last. *)
+let insert per_node buf c =
+  let cuts = buf.cuts in
+  let w = ref 0 in
+  for r = 0 to buf.count - 1 do
+    let e = cuts.(r) in
+    if not (c.sign land lnot e.sign = 0 && subset c.leaves e.leaves (size e)) then begin
+      cuts.(!w) <- e;
+      incr w
+    end
+  done;
+  Array.blit cuts 0 cuts 1 !w;
+  cuts.(0) <- c;
+  buf.count <- !w + 1;
+  if buf.count > per_node then begin
+    for i = 1 to buf.count - 1 do
+      let x = cuts.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && size cuts.(!j) > size x do
+        cuts.(!j + 1) <- cuts.(!j);
+        decr j
+      done;
+      cuts.(!j + 1) <- x
+    done;
+    buf.count <- per_node
   end
 
-(* Cut tables repeat (a design has far fewer distinct cut functions than
-   cuts), so each is stored once: the cut lists stay compact while live. *)
-module Tt_tbl = Hashtbl.Make (struct
-  type t = Tt.t
-
-  let equal = Tt.equal
-  let hash (t : t) = Hashtbl.hash (Tt.vars t, Tt.bits t)
-end)
-
 let enumerate ?(k = 4) ?(per_node = 10) g =
-  if k > Tt.max_vars then invalid_arg "Cuts.enumerate: k above Truthtable.max_vars";
-  let n = Aig.num_nodes g in
-  let cuts = Array.make n [] in
-  let tables = Tt_tbl.create 256 in
-  let intern tt =
-    match Tt_tbl.find_opt tables tt with
-    | Some shared -> shared
-    | None ->
-        Tt_tbl.replace tables tt tt;
-        tt
-  in
-  for id = 0 to n - 1 do
-    if Aig.is_and g id then begin
-      let a, b = Aig.fanins g id in
-      let ia = Aig.id_of_lit a and ib = Aig.id_of_lit b in
-      let ca_compl = Aig.is_compl a and cb_compl = Aig.is_compl b in
-      let acc = ref [ trivial id ] in
-      List.iter
-        (fun ca ->
-          List.iter
-            (fun cb ->
-              let n = union_size k ca.leaves cb.leaves in
-              if n <= k then begin
-                let leaves = union n ca.leaves cb.leaves in
-                if not (dominated leaves !acc) then begin
+  if k < 1 || k > max_k then invalid_arg "Cuts.enumerate: k outside 1..5";
+  if per_node < 1 then invalid_arg "Cuts.enumerate: per_node below 1";
+  Obs.span "synth.cuts.enumerate" (fun () ->
+      let n = Aig.num_nodes g in
+      let cuts = Array.make n [||] in
+      let buf = { cuts = Array.make (per_node + 1) (trivial 0); count = 0 } in
+      let scratch = Array.make k 0 in
+      for id = 0 to n - 1 do
+        if Aig.is_and g id then begin
+          let a, b = Aig.fanins g id in
+          let ca_compl = Aig.is_compl a and cb_compl = Aig.is_compl b in
+          let cuts_a = cuts.(Aig.id_of_lit a) and cuts_b = cuts.(Aig.id_of_lit b) in
+          buf.cuts.(0) <- trivial id;
+          buf.count <- 1;
+          for x = 0 to Array.length cuts_a - 1 do
+            let ca = cuts_a.(x) in
+            for y = 0 to Array.length cuts_b - 1 do
+              let cb = cuts_b.(y) in
+              let s = ca.sign lor cb.sign in
+              if popcount_le s k then begin
+                let m = merge k ca.leaves cb.leaves scratch in
+                if m <= k && not (dominated buf scratch m s) then begin
                   (* the node is the AND of its two fanin literals *)
-                  let tt =
-                    intern (Tt.logand (lift ca ca_compl leaves) (lift cb cb_compl leaves))
-                  in
-                  acc := insert_cut per_node !acc { leaves; tt }
+                  let bits = lift ca ca_compl scratch m land lift cb cb_compl scratch m in
+                  insert per_node buf { leaves = Array.sub scratch 0 m; sign = s; bits }
                 end
-              end)
-            cuts.(ib))
-        cuts.(ia);
-      cuts.(id) <- !acc
-    end
-    else cuts.(id) <- [ trivial id ]
-  done;
-  cuts
+              end
+            done
+          done;
+          cuts.(id) <- Array.sub buf.cuts 0 buf.count
+        end
+        else cuts.(id) <- [| trivial id |]
+      done;
+      cuts)

@@ -49,7 +49,7 @@ type ctx = {
   lib : Library.t;
   g : Aig.t;
   mode : mode;
-  cuts : Cuts.cut list array;
+  cuts : Cuts.cut array array;
   best : node_best array;
   fanout : int array;
   load_override : float array option;
@@ -73,26 +73,53 @@ let[@inline] better mode arr1 af1 arr2 af2 =
   | Delay -> arr1 < arr2 -. 1e-9 || (Float.abs (arr1 -. arr2) <= 1e-9 && af1 < af2)
   | Area -> af1 < af2 -. 1e-9 || (Float.abs (af1 -. af2) <= 1e-9 && arr1 < arr2)
 
+(* The leaf side of costing a cut depends only on which leaves a candidate
+   negates, and every drive of a cell shares its wiring, so it is computed
+   once per (cut, negation mask): the latest leaf arrival, with an inverter
+   on negated leaves, and the summed leaf area flow, inverters included.
+   [stamp] marks the entries filled for the cut being costed. *)
+type leaf_memo = {
+  stamp : int array;
+  worst : float array;
+  area : float array;
+  mutable serial : int;
+}
+
+let leaf_costs ctx memo ~inv_d (cut : Cuts.cut) neg =
+  if memo.stamp.(neg) <> memo.serial then begin
+    let inv_area = ctx.inv.Cell.area_um2 in
+    let worst = ref neg_infinity and area = ref 0. in
+    for leaf_idx = 0 to Array.length cut.leaves - 1 do
+      let lb = ctx.best.(cut.leaves.(leaf_idx)) in
+      let negated = neg land (1 lsl leaf_idx) <> 0 in
+      let arr = lb.arrival +. if negated then inv_d else 0. in
+      if arr > !worst then worst := arr;
+      area := !area +. (lb.area_flow +. if negated then inv_area else 0.)
+    done;
+    memo.worst.(neg) <- !worst;
+    memo.area.(neg) <- !area;
+    memo.stamp.(neg) <- memo.serial
+  end
+
 (* Cost [cell] wired by [tf] over [cut] as the implementation of node [id]
    (with output load [load]) and keep it in [b] if it beats the incumbent.
    Inverters on negated leaves and on a negated output are charged in both
-   delay and area. Floats stay local so the hot loop does not allocate. *)
-let consider ctx b id ~load ~inv_d (cut : Cuts.cut) ((cell : Cell.t), (tf : Npn.transform)) =
-  let input_load_penalty = ctx.r_est_kohm *. cell.input_cap_ff in
+   delay and area. A leaf's arrival at the cell adds the cell's input-load
+   penalty; rounding is monotone, so adding it to the latest leaf arrival
+   gives the same float as taking the latest of the penalized arrivals. *)
+let consider ctx memo b ~load ~inv_d ~fanout (cut : Cuts.cut) (cell : Cell.t)
+    (tf : Npn.transform) =
+  leaf_costs ctx memo ~inv_d cut tf.input_neg;
   let inv_area = ctx.inv.Cell.area_um2 in
-  let worst_arr = ref 0. and area_acc = ref 0. in
-  for leaf_idx = 0 to Array.length cut.leaves - 1 do
-    let lb = ctx.best.(cut.leaves.(leaf_idx)) in
-    let negated = tf.input_neg land (1 lsl leaf_idx) <> 0 in
-    let arr = lb.arrival +. (if negated then inv_d else 0.) +. input_load_penalty in
-    if arr > !worst_arr then worst_arr := arr;
-    area_acc := !area_acc +. (lb.area_flow +. if negated then inv_area else 0.)
-  done;
+  let penalized = memo.worst.(tf.input_neg) +. (ctx.r_est_kohm *. cell.input_cap_ff) in
+  let worst_arr = if penalized > 0. then penalized else 0. in
   let arrival =
-    !worst_arr +. Cell.delay_ps cell ~load_ff:load +. if tf.output_neg then inv_d else 0.
+    worst_arr +. Cell.delay_ps cell ~load_ff:load +. if tf.output_neg then inv_d else 0.
   in
-  let raw_area = cell.area_um2 +. (if tf.output_neg then inv_area else 0.) +. !area_acc in
-  let area_flow = raw_area /. float_of_int (max 1 ctx.fanout.(id)) in
+  let raw_area =
+    cell.area_um2 +. (if tf.output_neg then inv_area else 0.) +. memo.area.(tf.input_neg)
+  in
+  let area_flow = raw_area /. fanout in
   if Option.is_none b.choice || better ctx.mode arrival area_flow b.arrival b.area_flow
   then begin
     b.arrival <- arrival;
@@ -103,21 +130,36 @@ let consider ctx b id ~load ~inv_d (cut : Cuts.cut) ((cell : Cell.t), (tf : Npn.
 let compute_best ctx =
   let n = Aig.num_nodes ctx.g in
   let inv_d = inv_delay ctx in
+  let masks = 1 lsl Cuts.max_k in
+  let memo =
+    {
+      stamp = Array.make masks (-1);
+      worst = Array.make masks 0.;
+      area = Array.make masks 0.;
+      serial = 0;
+    }
+  in
   let n_cuts = ref 0 and n_candidates = ref 0 in
   for id = 0 to n - 1 do
-    n_cuts := !n_cuts + List.length ctx.cuts.(id);
+    let cuts = ctx.cuts.(id) in
+    n_cuts := !n_cuts + Array.length cuts;
     if Aig.is_and ctx.g id then begin
       let b = ctx.best.(id) in
       let load = load_estimate ctx id in
-      List.iter
-        (fun (cut : Cuts.cut) ->
-          (* The trivial cut {id} is not implementable. *)
-          if not (Cuts.size cut = 1 && cut.leaves.(0) = id) then begin
-            let candidates = Library.matches ctx.lib cut.tt in
-            n_candidates := !n_candidates + Array.length candidates;
-            Array.iter (consider ctx b id ~load ~inv_d cut) candidates
-          end)
-        ctx.cuts.(id);
+      let fanout = float_of_int (max 1 ctx.fanout.(id)) in
+      for c = 0 to Array.length cuts - 1 do
+        let cut = cuts.(c) in
+        (* The trivial cut {id} is not implementable. *)
+        if not (Cuts.size cut = 1 && cut.leaves.(0) = id) then begin
+          let candidates = Library.matches_bits ctx.lib ~vars:(Cuts.size cut) cut.bits in
+          n_candidates := !n_candidates + Array.length candidates;
+          memo.serial <- memo.serial + 1;
+          for j = 0 to Array.length candidates - 1 do
+            let cell, tf = candidates.(j) in
+            consider ctx memo b ~load ~inv_d ~fanout cut cell tf
+          done
+        end
+      done;
       if Option.is_none b.choice then
         failwith
           (Printf.sprintf "Mapper: no library match for node %d (library %s)" id
@@ -127,8 +169,7 @@ let compute_best ctx =
   Obs.incr ~by:!n_cuts "synth.map.cuts";
   Obs.incr ~by:!n_candidates "synth.map.candidates"
 
-let make_ctx ?load_override ~lib ~mode g =
-  let cuts = Cuts.enumerate g in
+let make_ctx ?load_override ~lib ~mode ~cuts g =
   let n = Aig.num_nodes g in
   let best =
     Array.init n (fun _ -> { arrival = 0.; area_flow = 0.; choice = None })
@@ -147,11 +188,11 @@ let make_ctx ?load_override ~lib ~mode g =
       inv = mapping_inverter lib;
     }
   in
-  compute_best ctx;
+  Obs.span "synth.map.dp" (fun () -> compute_best ctx);
   ctx
 
 let estimated_arrival_ps ~lib ?(mode = Delay) g =
-  let ctx = make_ctx ~lib ~mode g in
+  let ctx = make_ctx ~lib ~mode ~cuts:(Cuts.enumerate g) g in
   Array.fold_left
     (fun acc (_, l) ->
       let id = Aig.id_of_lit l in
@@ -216,9 +257,11 @@ let cover ctx ?name () =
 
 let map_aig ~lib ?(mode = Delay) ?(passes = 1) ?name g =
   assert (passes >= 1);
+  (* cuts do not depend on loads: every pass covers from the same ones *)
+  let cuts = Cuts.enumerate g in
   let rec go pass load_override =
-    let ctx = make_ctx ?load_override ~lib ~mode g in
-    let nl, node_net = cover ctx ?name () in
+    let ctx = make_ctx ?load_override ~lib ~mode ~cuts g in
+    let nl, node_net = Obs.span "synth.map.cover" (fun () -> cover ctx ?name ()) in
     if pass >= passes then nl
     else begin
       (* feed the realized loads of this cover back into the next DP pass,

@@ -38,11 +38,11 @@ let test_cuts_trivial_inputs () =
   Aig.add_output g "y" ab;
   let cuts = Cuts.enumerate g in
   let a_id = Aig.id_of_lit a in
-  Alcotest.(check int) "input has only trivial cut" 1 (List.length cuts.(a_id));
+  Alcotest.(check int) "input has only trivial cut" 1 (Array.length cuts.(a_id));
   let node_cuts = cuts.(Aig.id_of_lit ab) in
-  Alcotest.(check bool) "and node has trivial + leaf cut" true (List.length node_cuts >= 2)
+  Alcotest.(check bool) "and node has trivial + leaf cut" true (Array.length node_cuts >= 2)
 
-(* Reference for [cut.tt]: the function of [root] over the cut leaves by a
+(* Reference for [cut.bits]: the function of [root] over the cut leaves by a
    memoized recursive walk of the AIG, leaf [i] as input [i]. *)
 let cut_function g root (cut : Cuts.cut) =
   let vars = Array.length cut.leaves in
@@ -80,12 +80,13 @@ let test_cut_function () =
   Aig.add_output g "y" abc;
   let leaves = [| Aig.id_of_lit a; Aig.id_of_lit b; Aig.id_of_lit c |] in
   let cuts = (Cuts.enumerate g).(Aig.id_of_lit abc) in
-  match List.find_opt (fun (c : Cuts.cut) -> c.leaves = leaves) cuts with
+  match Array.find_opt (fun (c : Cuts.cut) -> c.leaves = leaves) cuts with
   | None -> Alcotest.fail "the input cut {a, b, c} was not enumerated"
   | Some cut ->
       for m = 0 to 7 do
         let bit i = m land (1 lsl i) <> 0 in
-        Alcotest.(check bool) "cut function" (bit 0 && bit 1 && not (bit 2)) (Tt.eval cut.tt m)
+        Alcotest.(check bool) "cut function" (bit 0 && bit 1 && not (bit 2))
+          ((cut.bits lsr m) land 1 = 1)
       done
 
 (* Node values of [g] under every primary-input pattern, 64 patterns per
@@ -166,14 +167,14 @@ let table_mismatches ~k seed =
   let independent = ref 0 and dependent = ref 0 and reachable = ref 0 in
   Array.iteri
     (fun id cs ->
-      List.iter
+      Array.iter
         (fun (c : Cuts.cut) ->
-          let reference = cut_function g id c in
-          if not (Tt.equal c.tt reference) then
+          let reference = Tt.bits (cut_function g id c) in
+          if not (Int64.equal (Int64.of_int c.bits) reference) then
             if not (has_dependent_leaf g c) then incr independent
             else begin
               incr dependent;
-              let diff = Int64.logxor (Tt.bits c.tt) (Tt.bits reference) in
+              let diff = Int64.logxor (Int64.of_int c.bits) reference in
               if not (Int64.equal (Int64.logand diff (reachable_minterms words c)) 0L) then
                 incr reachable
             end)
@@ -185,7 +186,7 @@ let cut_tables_match_reference =
   QCheck.Test.make ~name:"cuts: tables = recursive reference" ~count:40
     QCheck.(pair (int_range 0 10000) bool)
     (fun (seed, wide) ->
-      let independent, _, reachable = table_mismatches ~k:(if wide then 6 else 4) seed in
+      let independent, _, reachable = table_mismatches ~k:(if wide then 5 else 4) seed in
       independent = 0 && reachable = 0)
 
 (* Seed 5790 at k = 4 enumerates such a cut: {11, 12, 15, 24} at node 63,
@@ -199,7 +200,173 @@ let test_cut_with_dependent_leaf () =
 let test_cuts_k_bound () =
   let g = Gap_datapath.Adders.ripple_adder 8 in
   let cuts = Cuts.enumerate ~k:4 g in
-  Array.iter (List.iter (fun c -> Alcotest.(check bool) "cut <= 4 leaves" true (Cuts.size c <= 4))) cuts
+  Array.iter (Array.iter (fun c -> Alcotest.(check bool) "cut <= 4 leaves" true (Cuts.size c <= 4))) cuts
+
+(* The list-based enumerator that bounded-array enumeration replaced, kept
+   as the reference for it: [Cuts.enumerate] must keep the same cuts in the
+   same order, since the mapper's DP breaks ties by cut order. It lifts the
+   child tables minterm by minterm and counts the insertions that overflow
+   [per_node] (the re-sort path). *)
+module Ref_cuts = struct
+  type cut = { leaves : int array; tt : Tt.t }
+
+  let overflows = ref 0
+  let unit_tt = Tt.var ~vars:1 0
+  let trivial n = { leaves = [| n |]; tt = unit_tt }
+  let size c = Array.length c.leaves
+
+  let union_size k a b =
+    let la = Array.length a and lb = Array.length b in
+    let rec go i j n =
+      if n > k then n
+      else if i = la then n + (lb - j)
+      else if j = lb then n + (la - i)
+      else
+        let x = a.(i) and y = b.(j) in
+        if x = y then go (i + 1) (j + 1) (n + 1)
+        else if x < y then go (i + 1) j (n + 1)
+        else go i (j + 1) (n + 1)
+    in
+    go 0 0 0
+
+  let union n a b =
+    let la = Array.length a and lb = Array.length b in
+    let out = Array.make n 0 in
+    let i = ref 0 and j = ref 0 in
+    for o = 0 to n - 1 do
+      if !j = lb || (!i < la && a.(!i) < b.(!j)) then begin
+        out.(o) <- a.(!i);
+        incr i
+      end
+      else begin
+        if !i < la && a.(!i) = b.(!j) then incr i;
+        out.(o) <- b.(!j);
+        incr j
+      end
+    done;
+    out
+
+  (* [f] over [vars] inputs, its input [i] moved to position [pos.(i)] *)
+  let stretch f ~vars pos =
+    Tt.of_fun ~vars (fun m ->
+        let old_m = ref 0 in
+        Array.iteri
+          (fun i p -> if m land (1 lsl p) <> 0 then old_m := !old_m lor (1 lsl i))
+          pos;
+        Tt.eval f !old_m)
+
+  let lift c compl_ leaves =
+    let pos = Array.make (size c) 0 in
+    let o = ref 0 in
+    for i = 0 to size c - 1 do
+      while leaves.(!o) <> c.leaves.(i) do
+        incr o
+      done;
+      pos.(i) <- !o
+    done;
+    let t = stretch c.tt ~vars:(Array.length leaves) pos in
+    if compl_ then Tt.lognot t else t
+
+  let subset a b =
+    let la = Array.length a and lb = Array.length b in
+    let rec go i j =
+      if i = la then true
+      else if j = lb then false
+      else if a.(i) = b.(j) then go (i + 1) (j + 1)
+      else if a.(i) > b.(j) then go i (j + 1)
+      else false
+    in
+    la <= lb && go 0 0
+
+  let dominated leaves existing = List.exists (fun e -> subset e.leaves leaves) existing
+
+  let insert_cut per_node cuts c =
+    let survivors = List.filter (fun e -> not (subset c.leaves e.leaves)) cuts in
+    let cuts = c :: survivors in
+    if List.length cuts <= per_node then cuts
+    else begin
+      incr overflows;
+      let sorted = List.sort (fun a b -> Int.compare (size a) (size b)) cuts in
+      let rec take n = function
+        | [] -> []
+        | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
+      in
+      take per_node sorted
+    end
+
+  let enumerate ~k ~per_node g =
+    let n = Aig.num_nodes g in
+    let cuts = Array.make n [] in
+    for id = 0 to n - 1 do
+      if Aig.is_and g id then begin
+        let a, b = Aig.fanins g id in
+        let ia = Aig.id_of_lit a and ib = Aig.id_of_lit b in
+        let ca_compl = Aig.is_compl a and cb_compl = Aig.is_compl b in
+        let acc = ref [ trivial id ] in
+        List.iter
+          (fun ca ->
+            List.iter
+              (fun cb ->
+                let n = union_size k ca.leaves cb.leaves in
+                if n <= k then begin
+                  let leaves = union n ca.leaves cb.leaves in
+                  if not (dominated leaves !acc) then begin
+                    let tt = Tt.logand (lift ca ca_compl leaves) (lift cb cb_compl leaves) in
+                    acc := insert_cut per_node !acc { leaves; tt }
+                  end
+                end)
+              cuts.(ib))
+          cuts.(ia);
+        cuts.(id) <- !acc
+      end
+      else cuts.(id) <- [ trivial id ]
+    done;
+    cuts
+end
+
+(* Whether the two enumerations keep the same cuts, in the same order, with
+   the same tables. *)
+let same_enumeration (got : Cuts.cut array array) (want : Ref_cuts.cut list array) =
+  let same (c : Cuts.cut) (r : Ref_cuts.cut) =
+    c.leaves = r.leaves
+    && Tt.vars r.tt = Cuts.size c
+    && Int64.equal (Int64.of_int c.bits) (Tt.bits r.tt)
+  in
+  Array.length got = Array.length want
+  && Array.for_all2
+       (fun cs rs -> Array.length cs = List.length rs && List.for_all2 same (Array.to_list cs) rs)
+       got want
+
+let cuts_match_list_reference =
+  QCheck.Test.make ~name:"cuts: bounded arrays = list reference" ~count:300
+    QCheck.(quad (int_range 0 100000) (int_range 2 5) (int_range 1 12) (int_range 5 60))
+    (fun (seed, k, per_node, gates) ->
+      let g =
+        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:8 ~outputs:3
+          ~gates ()
+      in
+      same_enumeration (Cuts.enumerate ~k ~per_node g) (Ref_cuts.enumerate ~k ~per_node g))
+
+(* A balanced array multiplier has many more feasible cuts per node than
+   [per_node] keeps, so the re-sort path runs on most nodes. *)
+let test_cuts_overflow_matches_reference () =
+  let g = Gap_synth.Balance.balance (Gap_datapath.Multiplier.array_multiplier ~width:6) in
+  List.iter
+    (fun per_node ->
+      Ref_cuts.overflows := 0;
+      let want = Ref_cuts.enumerate ~k:4 ~per_node g in
+      Alcotest.(check bool) "the reference overflows" true (!Ref_cuts.overflows > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "per_node %d: same cuts, order and tables" per_node)
+        true
+        (same_enumeration (Cuts.enumerate ~k:4 ~per_node g) want))
+    [ 1; 3; 6; 10 ]
+
+(* Tables are immediate ints of at most 32 bits. *)
+let test_cuts_k_above_5_rejected () =
+  let g = Gap_datapath.Adders.ripple_adder 4 in
+  Alcotest.check_raises "k = 6" (Invalid_argument "Cuts.enumerate: k outside 1..5") (fun () ->
+      ignore (Cuts.enumerate ~k:6 g))
 
 (* --- balance --- *)
 
@@ -581,4 +748,7 @@ let suite =
     ("hold fix: no-op when clean", `Quick, test_hold_fix_noop_when_clean);
     ("flow: end to end", `Quick, test_flow_end_to_end);
     ("flow: low effort worse", `Quick, test_flow_low_effort_is_worse);
+    QCheck_alcotest.to_alcotest cuts_match_list_reference;
+    ("cuts: overflow re-sort = list reference", `Quick, test_cuts_overflow_matches_reference);
+    ("cuts: k above five rejected", `Quick, test_cuts_k_above_5_rejected);
   ]
