@@ -66,10 +66,16 @@ profile:
 # on any metric more than 50% slower (normalized by the entries' host
 # calibration numbers). The store is committed with the last change's
 # labelled snapshot, so a fresh clone diffs against it; with fewer than
-# two entries the diff would pass trivially.
+# two entries the diff would pass trivially. The bench also gates mc_60000
+# parallel scaling: both gates always run, and the target fails if either
+# failed.
 bench-diff:
-	dune exec bench/main.exe -- --kernels-json BENCH_kernels.json --history BENCH_history.jsonl
-	dune exec bin/repro.exe -- report --diff prev last --history BENCH_history.jsonl --gate 50
+	status=0; \
+	dune exec bench/main.exe -- --kernels-json BENCH_kernels.json \
+	  --history BENCH_history.jsonl || status=1; \
+	dune exec bin/repro.exe -- report --diff prev last \
+	  --history BENCH_history.jsonl --gate 50 || status=1; \
+	exit $$status
 
 # Multi-client daemon load test: an in-process server driven by 256
 # concurrent connections (synchronized waves on shared points plus

@@ -189,7 +189,9 @@ let run_benchmarks ~quota () =
    netlists kept their topological order and before power estimation
    simulated each vector once. The cuts_mult16 baseline is the median of
    three runs of this harness at commit 64217ef on the same 2-CPU
-   container, with the list-based enumerator. *)
+   container, with the list-based enumerator. The tilos_cla16 baseline is
+   the median of three runs at commit 53110ba on the same container, where
+   every TILOS move re-timed the whole netlist. *)
 let seed_baseline_ns =
   [
     ("e4_sta", 492327.);
@@ -204,6 +206,7 @@ let seed_baseline_ns =
     ("ssta_alu16_50", 27703510.);
     ("power_est_cla16", 101144151.);
     ("cuts_mult16", 44223095.);
+    ("tilos_cla16", 711207.);
   ]
 
 let mc_model = lazy (Gap_variation.Model.make Gap_variation.Model.mature)
@@ -279,6 +282,11 @@ let kernel_tests =
       Test.make ~name:"power_est_cla16"
         (Staged.stage (fun () ->
              Gap_netlist.Power_est.estimate (Lazy.force cla16_netlist) ~freq_mhz:250.));
+      (* TILOS sizing of a fresh copy of a mapped cla16: one full analysis,
+         then one incremental re-timing per move *)
+      Test.make ~name:"tilos_cla16"
+        (Staged.stage (fun () ->
+             Gap_synth.Sizing.tilos (Gap_netlist.Netlist.copy (Lazy.force cla16_netlist))));
     ]
 
 (* Parallel-scaling gate over mc_60000: d4/d1 wall-clock ratio. The

@@ -71,6 +71,61 @@ type t = {
 
 val analyze : ?config:config -> Gap_netlist.Netlist.t -> t
 
+(** Incremental timing for sizing loops.
+
+    A session starts from one full {!analyze} (its span, its [sta.analyze]
+    fault point and its supervised NaN scan) and keeps that analysis's
+    arrival and predecessor arrays. {!Session.resize} swaps one instance's
+    cell and re-times only what the swap changed: the instance itself and
+    the drivers of its fanin nets (their load changed; a flop driver's
+    launch arrival is recomputed in place), then their fanout cones in
+    topological order, stopping wherever an arrival comes out bit for bit
+    as before.
+
+    - Exactness: every arrival is the same float expression over the same
+      fanins in the same order as in {!analyze}, so {!Session.min_period_ps},
+      {!Session.critical_instances} and every {!Session.arrival} equal those
+      of a fresh full analysis of the netlist as it stands, bit for bit, and
+      ties go to the same endpoint.
+    - Not kept: required times and slacks. Run {!analyze} for those.
+    - Resize only: the session owns the netlist's cell choices while it is
+      in use. Any other mutation of the netlist (rewiring, parasitics, a
+      direct {!Gap_netlist.Netlist.replace_cell}) makes it stale.
+    - One domain: like the netlist, a session is owned by one domain.
+
+    Each resize fires the [sta.analyze] fault point after the swap (where a
+    full re-analysis would fail) and, under supervision, raises a typed
+    [Numeric_fault] on a NaN arrival among the nets it rewrote. If [resize]
+    raises, the netlist keeps the new cell and the session is stale: drop
+    it. Every resize counts [sta.incremental.updates] and adds the
+    instances it re-evaluated to [sta.incremental.instances];
+    [sta.analyze] spans count full analyses only. *)
+module Session : sig
+  type t
+
+  val start : ?config:config -> Gap_netlist.Netlist.t -> t
+  (** Runs {!analyze} once and keeps its state. *)
+
+  val min_period_ps : t -> float
+
+  val arrival : t -> int -> float
+  (** Arrival at a net, as [(analyze nl).arrival.(net)]. *)
+
+  val critical_instances : t -> int list
+  (** The instances of the critical path, source first: the [Some] [inst]
+      fields of [(analyze nl).critical.steps]. *)
+
+  val resize : t -> int -> Gap_liberty.Cell.t -> unit
+  (** [resize s i cell] replaces the cell of combinational instance [i] and
+      re-times its cone. Raises [Invalid_argument] if [i] is a flop or
+      [cell] is sequential: that would change the topological order. *)
+
+  val undo : t -> unit
+  (** Restores the cell and every timing value the last {!resize} changed.
+      One level only: raises [Invalid_argument] when there is no resize to
+      undo. *)
+end
+
 val slack : t -> int -> float
 (** Per-net slack. *)
 
@@ -95,5 +150,3 @@ val net_criticality : t -> int -> float
 val frequency_mhz : t -> float
 val fo4_depth : t -> lib:Gap_liberty.Library.t -> float
 (** Logic depth of the critical path in technology FO4 units. *)
-
-val instance_on_critical_path : t -> int -> bool

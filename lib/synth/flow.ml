@@ -68,17 +68,12 @@ let run ~lib ?(effort = default_effort) ?name g =
         if effort.tilos_moves > 0 then
           Some
             (Supervisor.retry ~stage:"synth.sizing" (fun () ->
-                 Obs.span "synth.sizing" (fun () ->
-                     Fault.point "synth.sizing";
-                     Sizing.tilos ~config:effort.sta_config
-                       ~max_moves:effort.tilos_moves netlist)))
+                 Fault.point "synth.sizing";
+                 Sizing.tilos ~config:effort.sta_config ~max_moves:effort.tilos_moves
+                   netlist))
         else None
       in
-      (match sizing with
-      | Some s ->
-          Obs.incr ~by:s.Sizing.moves "synth.sizing_moves";
-          Check.gate ~stage:"synth.sizing" netlist
-      | None -> ());
+      if Option.is_some sizing then Check.gate ~stage:"synth.sizing" netlist;
       let sta =
         Supervisor.retry ~stage:"synth.sta" (fun () ->
             Obs.span "synth.sta" (fun () ->

@@ -2,6 +2,7 @@ module Netlist = Gap_netlist.Netlist
 module Cell = Gap_liberty.Cell
 module Library = Gap_liberty.Library
 module Sta = Gap_sta.Sta
+module Obs = Gap_obs.Obs
 
 type result = { moves : int; initial_period_ps : float; final_period_ps : float }
 
@@ -24,57 +25,48 @@ let move_gain nl inst (old_c : Cell.t) (new_c : Cell.t) =
       | Netlist.From_input _ | Netlist.From_const _ | Netlist.Undriven -> ());
   d_self +. !worst_upstream
 
-(* Each iteration starts from the analysis of the netlist as it stands: the
-   first from the initial one, every later one from the analysis that
-   accepted the previous move. *)
+(* Every move is timed incrementally: the session re-times only the cone
+   the resize changed, bit for bit as a full analysis would. *)
 let tilos ?(config = Sta.default_config) ?max_moves nl =
-  let lib = Netlist.lib nl in
-  let max_moves =
-    match max_moves with Some m -> m | None -> 4 * max 1 (Netlist.num_instances nl)
-  in
-  let rec loop moves (sta : Sta.t) =
-    let current_period = sta.Sta.min_period_ps in
-    if moves >= max_moves then (moves, current_period)
-    else begin
-      let candidates =
-        List.filter_map
-          (fun (s : Sta.step) ->
-            match s.inst with
-            | Some i when not (Netlist.is_flop nl i) -> (
+  Obs.span "synth.sizing" (fun () ->
+      let lib = Netlist.lib nl in
+      let max_moves =
+        match max_moves with Some m -> m | None -> 4 * max 1 (Netlist.num_instances nl)
+      in
+      let s = Sta.Session.start ~config nl in
+      let rec loop moves current_period =
+        if moves >= max_moves then (moves, current_period)
+        else begin
+          let best =
+            List.fold_left
+              (fun acc i ->
                 let c = Netlist.cell_of nl i in
                 match Library.next_drive_up lib c with
-                | Some up -> Some (i, c, up, move_gain nl i c up)
-                | None -> None)
-            | Some _ | None -> None)
-          sta.Sta.critical.steps
+                | None -> acc
+                | Some up -> (
+                    let gain = move_gain nl i c up in
+                    match acc with
+                    | Some (_, _, g) when g <= gain -> acc
+                    | _ -> Some (i, up, gain)))
+              None (Sta.Session.critical_instances s)
+          in
+          match best with
+          | Some (i, up, gain) when gain < -1e-9 ->
+              Sta.Session.resize s i up;
+              let after = Sta.Session.min_period_ps s in
+              if after > current_period +. 1e-9 then begin
+                (* The local model lied (rare): revert and stop. *)
+                Sta.Session.undo s;
+                (moves, current_period)
+              end
+              else loop (moves + 1) after
+          | _ -> (moves, current_period)
+        end
       in
-      let best =
-        List.fold_left
-          (fun acc (i, c, up, gain) ->
-            match acc with
-            | Some (_, _, _, g) when g <= gain -> acc
-            | _ -> Some (i, c, up, gain))
-          None candidates
-      in
-      match best with
-      | Some (i, _, up, gain) when gain < -1e-9 ->
-          Netlist.replace_cell nl i up;
-          let after = Sta.analyze ~config nl in
-          if after.Sta.min_period_ps > current_period +. 1e-9 then begin
-            (* The local model lied (rare): revert and stop. *)
-            let c = Netlist.cell_of nl i in
-            (match Library.next_drive_down lib c with
-            | Some down -> Netlist.replace_cell nl i down
-            | None -> ());
-            (moves, current_period)
-          end
-          else loop (moves + 1) after
-      | _ -> (moves, current_period)
-    end
-  in
-  let initial = Sta.analyze ~config nl in
-  let moves, final = loop 0 initial in
-  { moves; initial_period_ps = initial.Sta.min_period_ps; final_period_ps = final }
+      let initial = Sta.Session.min_period_ps s in
+      let moves, final = loop 0 initial in
+      Obs.incr ~by:moves "synth.sizing_moves";
+      { moves; initial_period_ps = initial; final_period_ps = final })
 
 let minimize_drives nl =
   let lib = Netlist.lib nl in
@@ -110,25 +102,25 @@ let set_all_drives nl ~drive =
     (Netlist.combinational_instances nl)
 
 let downsize_noncritical ?(config = Sta.default_config) ~slack_margin_ps nl =
-  let lib = Netlist.lib nl in
-  let baseline = (Sta.analyze ~config nl).Sta.min_period_ps in
-  let budget = baseline +. slack_margin_ps in
-  let accepted = ref 0 in
-  let sta = ref (Sta.analyze ~config nl) in
-  List.iter
-    (fun i ->
-      if not (Sta.instance_on_critical_path !sta i) then begin
-        let c = Netlist.cell_of nl i in
-        match Library.next_drive_down lib c with
-        | Some down ->
-            Netlist.replace_cell nl i down;
-            let after = Sta.analyze ~config nl in
-            if after.Sta.min_period_ps <= budget then begin
-              incr accepted;
-              sta := after
-            end
-            else Netlist.replace_cell nl i c
-        | None -> ()
-      end)
-    (Netlist.combinational_instances nl);
-  !accepted
+  Obs.span "synth.sizing" (fun () ->
+      let lib = Netlist.lib nl in
+      let s = Sta.Session.start ~config nl in
+      let budget = Sta.Session.min_period_ps s +. slack_margin_ps in
+      let accepted = ref 0 in
+      (* the critical path of the last accepted state *)
+      let critical = ref (Sta.Session.critical_instances s) in
+      List.iter
+        (fun i ->
+          if not (List.mem i !critical) then begin
+            match Library.next_drive_down lib (Netlist.cell_of nl i) with
+            | Some down ->
+                Sta.Session.resize s i down;
+                if Sta.Session.min_period_ps s <= budget then begin
+                  incr accepted;
+                  critical := Sta.Session.critical_instances s
+                end
+                else Sta.Session.undo s
+            | None -> ()
+          end)
+        (Netlist.combinational_instances nl);
+      !accepted)

@@ -22,9 +22,11 @@ val tilos :
   result
 (** Mutates the netlist. Default [max_moves] = 4 x instance count.
 
-    Runs {!Gap_sta.Sta.analyze} [1 + moves] times: once up front, then once
-    per accepted move, whose analysis also picks the next move; a rejected
-    (reverted) final move costs one more. *)
+    Runs {!Gap_sta.Sta.analyze} once, up front, through a
+    {!Gap_sta.Sta.Session}; every move tried (each accepted one, and a
+    rejected final one, which is undone) is then timed by one incremental
+    [Session.resize], bit for bit as a full analysis would time it. Opens the
+    [synth.sizing] span and adds its moves to [synth.sizing_moves]. *)
 
 val minimize_drives : Gap_netlist.Netlist.t -> unit
 
@@ -36,4 +38,6 @@ val downsize_noncritical :
   ?config:Gap_sta.Sta.config -> slack_margin_ps:float -> Gap_netlist.Netlist.t -> int
 (** Power recovery: walks non-critical cells down the drive ladder while the
     design's min period does not degrade by more than [slack_margin_ps];
-    returns the number of accepted downsizes. *)
+    returns the number of accepted downsizes. One full analysis, then one
+    incremental update per trial (a rejected trial is undone), under the
+    [synth.sizing] span. *)

@@ -553,6 +553,7 @@ let tilos_two_analyses ?(config = Sta.default_config) ?max_moves nl =
 
 let cells_of nl = List.init (Netlist.num_instances nl) (fun i -> (Netlist.cell_of nl i).name)
 
+(* Full analyses ([sta.analyze] spans) and incremental updates run by [f]. *)
 let sta_calls f =
   let sink = Gap_obs.Obs.recorder () in
   let r = Gap_obs.Obs.with_sink sink f in
@@ -562,12 +563,15 @@ let sta_calls f =
         if String.equal s.name "sta.analyze" then acc + s.calls else acc)
       0 (Gap_obs.Obs.spans sink)
   in
-  (r, calls)
+  (r, calls, Gap_obs.Obs.counter_value sink "sta.incremental.updates")
 
 (* Random mapped logic at uniform X1 with fat wires hung on random nets, so
-   runs differ in length; a low move cap on some seeds stops TILOS early. *)
+   runs differ in length; a low move cap on some seeds stops TILOS early.
+   TILOS times the netlist in full once, then once incrementally per move
+   tried (accepted, or reverted at the end). *)
 let tilos_matches_two_analysis_reference =
-  QCheck.Test.make ~name:"tilos = two-analysis reference, 1 + moves analyses" ~count:30
+  QCheck.Test.make ~name:"tilos = two-analysis reference, 1 + moves timings, one in full"
+    ~count:30
     QCheck.(int_bound 10_000)
     (fun seed ->
       let g =
@@ -583,10 +587,118 @@ let tilos_matches_two_analysis_reference =
       let max_moves = if seed mod 3 = 0 then Some (seed mod 7) else None in
       let reference = Netlist.copy nl in
       let want, reverted = tilos_two_analyses ?max_moves reference in
-      let got, calls = sta_calls (fun () -> Gap_synth.Sizing.tilos ?max_moves nl) in
+      let got, calls, updates = sta_calls (fun () -> Gap_synth.Sizing.tilos ?max_moves nl) in
       got = want
       && cells_of nl = cells_of reference
-      && calls = 1 + got.moves + if reverted then 1 else 0)
+      && calls = 1
+      && updates = got.moves + if reverted then 1 else 0)
+
+(* --- incremental timing --- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A session against a fresh full analysis of the netlist as it stands: the
+   period, the critical path's instances and every arrival, bit for bit. *)
+let session_matches_full ~config nl s =
+  let full = Sta.analyze ~config nl in
+  let arrivals_match = ref true in
+  Array.iteri
+    (fun net a -> if not (same_bits (Sta.Session.arrival s net) a) then arrivals_match := false)
+    full.Sta.arrival;
+  !arrivals_match
+  && same_bits (Sta.Session.min_period_ps s) full.Sta.min_period_ps
+  && Sta.Session.critical_instances s
+     = List.filter_map (fun (st : Sta.step) -> st.Sta.inst) full.Sta.critical.Sta.steps
+
+(* Random mapped logic; even seeds are pipelined, so flops drive resized
+   cells, and seeds 2-3 mod 4 carry random wire parasitics. Each step
+   resizes a cell (half the time one on the critical path) to a random rung
+   of its drive ladder, and a third of the steps are undone. *)
+let session_matches_full_analysis =
+  QCheck.Test.make ~name:"sta session: resize/undo = full analysis, bit for bit" ~count:40
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let lib = Lazy.force rich in
+      let rng = Gap_util.Rng.create ~seed:(Int64.of_int seed) () in
+      let g =
+        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:8 ~outputs:4
+          ~gates:60 ()
+      in
+      let nl = Gap_synth.Mapper.map_aig ~lib g in
+      if seed mod 2 = 0 then ignore (Gap_retime.Pipeline.pipeline ~stages:3 nl);
+      if seed mod 4 >= 2 then
+        for _ = 1 to 12 do
+          let net = Gap_util.Rng.int rng (Netlist.num_nets nl) in
+          Netlist.set_wire_cap_ff nl net (Gap_util.Rng.float rng 120.);
+          Netlist.set_wire_delay_ps nl net (Gap_util.Rng.float rng 40.)
+        done;
+      let config = if seed mod 3 = 0 then Sta.config_with_skew 25. else Sta.default_config in
+      let comb = Array.of_list (Netlist.combinational_instances nl) in
+      let s = Sta.Session.start ~config nl in
+      let ok = ref (session_matches_full ~config nl s) in
+      for _ = 1 to 30 do
+        if !ok then begin
+          let crit = Array.of_list (Sta.Session.critical_instances s) in
+          let i =
+            if crit <> [||] && Gap_util.Rng.bool rng then Gap_util.Rng.choose rng crit
+            else Gap_util.Rng.choose rng comb
+          in
+          let ladder = Array.of_list (Library.drives_of lib (Netlist.cell_of nl i).base) in
+          Sta.Session.resize s i (Gap_util.Rng.choose rng ladder);
+          ok := session_matches_full ~config nl s;
+          if !ok && Gap_util.Rng.int rng 3 = 0 then begin
+            Sta.Session.undo s;
+            ok := session_matches_full ~config nl s
+          end
+        end
+      done;
+      !ok)
+
+(* [downsize_noncritical] as it stood with a full analysis per trial. *)
+let downsize_full_reference ~slack_margin_ps nl =
+  let lib = Netlist.lib nl in
+  let sta = ref (Sta.analyze nl) in
+  let budget = !sta.Sta.min_period_ps +. slack_margin_ps in
+  let accepted = ref 0 in
+  List.iter
+    (fun i ->
+      if not (List.exists (fun (st : Sta.step) -> st.Sta.inst = Some i) !sta.Sta.critical.Sta.steps)
+      then begin
+        let c = Netlist.cell_of nl i in
+        match Library.next_drive_down lib c with
+        | Some down ->
+            Netlist.replace_cell nl i down;
+            let after = Sta.analyze nl in
+            if after.Sta.min_period_ps <= budget then begin
+              incr accepted;
+              sta := after
+            end
+            else Netlist.replace_cell nl i c
+        | None -> ()
+      end)
+    (Netlist.combinational_instances nl);
+  !accepted
+
+let downsize_matches_full_reference =
+  QCheck.Test.make ~name:"downsize_noncritical = full-analysis reference" ~count:30
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let g =
+        Gap_datapath.Random_logic.generate ~seed:(Int64.of_int seed) ~inputs:8 ~outputs:4
+          ~gates:60 ()
+      in
+      let nl = Gap_synth.Mapper.map_aig ~lib:(Lazy.force rich) g in
+      if seed mod 2 = 0 then ignore (Gap_retime.Pipeline.pipeline ~stages:2 nl);
+      Gap_synth.Sizing.set_all_drives nl ~drive:(if seed mod 3 = 0 then 2. else 4.);
+      let rng = Gap_util.Rng.create ~seed:(Int64.of_int seed) () in
+      for _ = 1 to 3 do
+        Netlist.set_wire_cap_ff nl (Gap_util.Rng.int rng (Netlist.num_nets nl)) 120.
+      done;
+      let slack_margin_ps = [| 0.; 1.; 5.; 20. |].(seed mod 4) in
+      let reference = Netlist.copy nl in
+      let want = downsize_full_reference ~slack_margin_ps reference in
+      let got = Gap_synth.Sizing.downsize_noncritical ~slack_margin_ps nl in
+      got = want && cells_of nl = cells_of reference)
 
 let test_set_all_drives () =
   let g = Gap_datapath.Adders.ripple_adder 6 in
@@ -751,4 +863,6 @@ let suite =
     QCheck_alcotest.to_alcotest cuts_match_list_reference;
     ("cuts: overflow re-sort = list reference", `Quick, test_cuts_overflow_matches_reference);
     ("cuts: k above five rejected", `Quick, test_cuts_k_above_5_rejected);
+    QCheck_alcotest.to_alcotest session_matches_full_analysis;
+    QCheck_alcotest.to_alcotest downsize_matches_full_reference;
   ]
